@@ -22,8 +22,8 @@ import numpy as np
 
 from ghostsim import (
     IgiAccumulator,
+    MeasurementSeries,
     NoiseWaveform,
-    Scenario,
     SpeckleParams,
     builtin_mask,
     generate_frame,
@@ -134,14 +134,14 @@ def noise_violation_rates() -> dict:
     return out
 
 
-def _preset_scenario(name: str, seed: int | None = None) -> Scenario:
+def _preset_series(name: str, seed: int | None = None) -> MeasurementSeries:
+    """One frame pass of a preset, relative noise amplitude resolved in that pass."""
     from ghostsim.cli import _build_scenario
 
     cfg = parse_config_text(json.dumps(preset_config(name)), path=f"<preset {name}>")
     if seed is not None:
         cfg["speckle"]["seed"] = seed
-    scenario, _, _ = _build_scenario(cfg)
-    return scenario
+    return simulate(*_build_scenario(cfg))
 
 
 def clean_preset_across_seeds(seeds: int) -> dict:
@@ -149,8 +149,7 @@ def clean_preset_across_seeds(seeds: int) -> dict:
     truth = builtin_mask("TH", 64, 64)
     rows = []
     for seed in range(seeds):
-        scenario = _preset_scenario("clean", seed=seed)
-        series = simulate(scenario)
+        series = _preset_series("clean", seed=seed)
         gi = gi_reconstruct(series)
         igi = igi_reconstruct(series)
         rows.append(
@@ -175,8 +174,7 @@ def noisy_presets_at_shipped_seed() -> dict:
     clean_ref: dict = {}
     out = {}
     for name in PRESET_NAMES:
-        scenario = _preset_scenario(name)
-        series = simulate(scenario)
+        series = _preset_series(name)
         gi = gi_reconstruct(series)
         igi = igi_reconstruct(series)
         entry = {
@@ -198,8 +196,7 @@ def noisy_preset_seed_spread(seeds: int) -> dict:
     truth = builtin_mask("TH", 64, 64)
     rows = []
     for seed in range(seeds):
-        scenario = _preset_scenario("position-B", seed=seed)
-        series = simulate(scenario)
+        series = _preset_series("position-B", seed=seed)
         rows.append(
             {
                 "seed": seed,
@@ -263,8 +260,6 @@ def igi_streaming_identity() -> dict:
         rng = np.random.Generator(np.random.PCG64(seed))
         frames = rng.exponential(size=(60, 8, 8))
         s = rng.uniform(10.0, 100.0, size=60)
-        from ghostsim import MeasurementSeries
-
         series = MeasurementSeries(s=s, frames=frames)
         batch = igi_reconstruct(series)
         acc = IgiAccumulator(8, 8)

@@ -23,7 +23,6 @@ from .measurement import (
     MeasurementSeries,
     NoiseSpec,
     Scenario,
-    bucket_curve,
     clean_bucket_series,
     column_curve,
     load_series,
@@ -38,7 +37,6 @@ from .noise import (
     SPATIAL_REGIONS,
     NoiseWaveform,
     SpatialNoiseMask,
-    noise_field,
     noise_value,
     per_step_noise_delta_bound,
 )
@@ -54,7 +52,7 @@ from .reconstruct import (
     validity_diagnostic,
 )
 from .scene import BUILTIN_MASKS, bucket_signal, builtin_mask, load_mask, save_mask
-from .speckle import FrameSequence, SpeckleParams, generate_frame, generate_sequence
+from .speckle import SpeckleParams, generate_frame
 
 __all__ = [
     "ConfigurationError",
@@ -67,7 +65,6 @@ __all__ = [
     "MeasurementSeries",
     "NoiseSpec",
     "Scenario",
-    "bucket_curve",
     "clean_bucket_series",
     "column_curve",
     "load_series",
@@ -85,7 +82,6 @@ __all__ = [
     "SPATIAL_REGIONS",
     "NoiseWaveform",
     "SpatialNoiseMask",
-    "noise_field",
     "noise_value",
     "per_step_noise_delta_bound",
     "IGI_NORMALIZATIONS",
@@ -102,9 +98,7 @@ __all__ = [
     "bucket_signal",
     "load_mask",
     "save_mask",
-    "FrameSequence",
     "SpeckleParams",
     "generate_frame",
-    "generate_sequence",
     "__version__",
 ]

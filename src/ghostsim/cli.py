@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,21 +23,12 @@ import numpy as np
 from . import __version__
 from .config import load_config, parse_config_text
 from .errors import ConfigurationError, ContractError, DegenerateInputError, GhostsimError, PgmFormatError
-from .measurement import (
-    MeasurementSeries,
-    NoiseSpec,
-    Scenario,
-    bucket_curve,
-    clean_bucket_series,
-    column_curve,
-    save_series,
-    simulate,
-    write_curve_csv,
-)
+from .measurement import MeasurementSeries, NoiseSpec, Scenario, column_curve, save_series, simulate, write_curve_csv
+from .measurement import clean_bucket_series  # noqa: F401  unused here; perfbench/spans.py patches it by name
 from .metrics import pearson, quality_report
 from .noise import NoiseWaveform, SpatialNoiseMask
 from .presets import PRESET_NAMES, preset_config
-from .reconstruct import gi_reconstruct, igi_reconstruct, save_f64, save_recon_pgm, validity_diagnostic
+from .reconstruct import ValidityReport, gi_reconstruct, igi_reconstruct, save_f64, save_recon_pgm, validity_diagnostic
 from .scene import builtin_mask, load_mask, save_mask
 
 SWEEP_AXES = ("noise-amplitude", "noise-frequency", "N")
@@ -54,11 +46,11 @@ def _build_mask(obj_cfg: dict, width: int, height: int) -> np.ndarray:
     return mask
 
 
-def _build_scenario(cfg: dict) -> tuple[Scenario, dict, np.ndarray | None]:
-    """Turn a validated config into a Scenario.
+def _build_scenario(cfg: dict) -> tuple[Scenario, float | None]:
+    """Turn a validated config into a Scenario and its amplitude_rel_std.
 
-    Returns (scenario, resolved config with absolute amplitude, clean bucket
-    series when one had to be computed for amplitude resolution).
+    A relative amplitude is returned for simulate() to resolve from its frame
+    pass; the scenario's waveform carries amplitude 0 until then.
     """
     from .speckle import SpeckleParams
 
@@ -70,21 +62,8 @@ def _build_scenario(cfg: dict) -> tuple[Scenario, dict, np.ndarray | None]:
     mask = _build_mask(cfg["object"], speckle.width, speckle.height)
 
     nz = cfg["noise"]
-    resolved = json.loads(json.dumps(cfg))  # deep copy, JSON types only
-    s0 = None
-    if "amplitude_rel_std" in nz:
-        s0 = clean_bucket_series(Scenario(speckle=speckle, object_mask=mask, count=cfg["count"]))
-        sigma = float(s0.std())
-        if sigma == 0.0:
-            raise ConfigurationError("clean bucket series is constant; amplitude_rel_std cannot be resolved")
-        amplitude = float(nz["amplitude_rel_std"]) * sigma
-        resolved["noise"].pop("amplitude_rel_std")
-        resolved["noise"]["amplitude"] = amplitude
-    else:
-        amplitude = nz["amplitude"]
-
     waveform = NoiseWaveform(
-        kind=nz["kind"], amplitude=amplitude, frequency=nz["frequency"],
+        kind=nz["kind"], amplitude=nz.get("amplitude", 0.0), frequency=nz["frequency"],
         phase=nz["phase"], sample_rate=nz["sample_rate"], seed=nz["seed"],
     )
     spatial = None
@@ -103,7 +82,36 @@ def _build_scenario(cfg: dict) -> tuple[Scenario, dict, np.ndarray | None]:
         speckle=speckle, object_mask=mask, count=cfg["count"],
         noise=NoiseSpec(waveform=waveform, position=nz["position"], spatial=spatial),
     )
-    return scenario, resolved, s0
+    return scenario, nz.get("amplitude_rel_std")
+
+
+@dataclass
+class Evaluation:
+    """One run of a config; series.scenario and series.s0 hold the resolved scenario and S0."""
+
+    resolved: dict
+    series: MeasurementSeries
+    gi: np.ndarray
+    igi: np.ndarray
+    validity: ValidityReport
+
+
+def evaluate(cfg: dict) -> Evaluation:
+    """Simulate a validated config in one frame pass and reconstruct it.
+
+    The validity diagnostic is judged against the clean bucket S0 of that
+    same pass, whatever the injection position.
+    """
+    series = simulate(*_build_scenario(cfg))
+    waveform = series.scenario.noise.waveform
+    resolved = json.loads(json.dumps(cfg))  # deep copy, JSON types only
+    if "amplitude_rel_std" in resolved["noise"]:
+        resolved["noise"].pop("amplitude_rel_std")
+        resolved["noise"]["amplitude"] = waveform.amplitude
+    validity = validity_diagnostic(series.s0, waveform, coupling=series.scenario.bucket_coupling)
+    gi = gi_reconstruct(series)
+    igi = igi_reconstruct(series, normalization=cfg["output"]["igi_normalization"])
+    return Evaluation(resolved, series, gi, igi, validity)
 
 
 def _write_json(obj, path: Path) -> None:
@@ -112,35 +120,22 @@ def _write_json(obj, path: Path) -> None:
 
 def run_scenario(cfg: dict, out_dir: Path) -> dict:
     """Simulate, reconstruct, measure, and write the full artifact set."""
-    scenario, resolved, s0 = _build_scenario(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    series = simulate(scenario)
-    position = scenario.position
-    noisy_bucket = position in ("A", "B") and scenario.noise.waveform.kind != "off"
-    if noisy_bucket and s0 is None:
-        s0 = clean_bucket_series(scenario)
-    clean_s = s0 if noisy_bucket else series.s
-
-    kappa = scenario.object_mask.sum() / (scenario.speckle.width * scenario.speckle.height)
-    coupling = kappa if position == "A" else 1.0
-    validity = validity_diagnostic(clean_s, scenario.noise.waveform, coupling=coupling)
-
-    normalization = cfg["output"]["igi_normalization"]
-    gi = gi_reconstruct(series)
-    igi = igi_reconstruct(series, normalization=normalization)
+    run = evaluate(cfg)
+    series = run.series
+    scenario = series.scenario
     truth = scenario.object_mask
-    report_gi = quality_report(gi, truth)
-    report_igi = quality_report(igi, truth)
+    report_gi = quality_report(run.gi, truth)
+    report_igi = quality_report(run.igi, truth)
 
-    save_f64(gi, out_dir / "gi.f64")
-    save_f64(igi, out_dir / "igi.f64")
-    save_recon_pgm(gi, out_dir / "gi.pgm")
-    save_recon_pgm(igi, out_dir / "igi.pgm")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    save_f64(run.gi, out_dir / "gi.f64")
+    save_f64(run.igi, out_dir / "igi.f64")
+    save_recon_pgm(run.gi, out_dir / "gi.pgm")
+    save_recon_pgm(run.igi, out_dir / "igi.pgm")
     _write_json(report_gi.to_dict(), out_dir / "metrics_gi.json")
     _write_json(report_igi.to_dict(), out_dir / "metrics_igi.json")
-    _write_json(validity.to_dict(), out_dir / "validity.json")
-    write_curve_csv(bucket_curve(series), out_dir / "bucket_curve.csv")
+    _write_json(run.validity.to_dict(), out_dir / "validity.json")
+    write_curve_csv(series.s, out_dir / "bucket_curve.csv")
     if cfg["output"]["emit_curves"]:
         # slit-plane style curves at the quarter and three-quarter columns
         width = scenario.speckle.width
@@ -149,7 +144,7 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
     if cfg["output"]["emit_frames"]:
         save_series(series, out_dir / "series.gsim")
 
-    embedded = json.loads(json.dumps(resolved))
+    embedded = run.resolved
     embedded["output"] = {k: v for k, v in embedded["output"].items() if k != "dir"}
     manifest = {
         "format": "ghostsim-manifest",
@@ -157,38 +152,22 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
         "tool": {"name": "ghostsim", "version": __version__},
         "config": embedded,
         "scenario_digest": scenario.digest(),
-        "clean_bucket_std": float(clean_s.std()) if noisy_bucket else float(series.s.std()),
+        "clean_bucket_std": float(series.s0.std()),
     }
     _write_json(manifest, out_dir / "manifest.json")
     return {
         "out": str(out_dir),
         "gi_pearson_r": report_gi.pearson_r,
         "igi_pearson_r": report_igi.pearson_r,
-        "validity_flag": validity.flag,
+        "validity_flag": run.validity.flag,
     }
 
 
-def _evaluate_row(cfg: dict, clean_cache: dict) -> tuple[float, float, float]:
-    """One sweep row: gi pearson, igi pearson, validity ratio. No files."""
-    scenario, _, s0 = _build_scenario(cfg)
-    series = simulate(scenario)
-    position = scenario.position
-    noisy_bucket = position in ("A", "B") and scenario.noise.waveform.kind != "off"
-    if noisy_bucket:
-        if s0 is None:
-            key = scenario.count
-            if key not in clean_cache:
-                clean_cache[key] = clean_bucket_series(scenario)
-            s0 = clean_cache[key]
-        clean_s = s0
-    else:
-        clean_s = series.s
-    kappa = scenario.object_mask.sum() / (scenario.speckle.width * scenario.speckle.height)
-    validity = validity_diagnostic(clean_s, scenario.noise.waveform, coupling=kappa if position == "A" else 1.0)
-    gi = gi_reconstruct(series)
-    igi = igi_reconstruct(series, normalization=cfg["output"]["igi_normalization"])
-    truth = scenario.object_mask
-    return pearson(gi, truth), pearson(igi, truth), validity.ratio
+def _sweep_row(cfg: dict) -> list[float]:
+    """GI and IGI pearson r and the validity ratio; the row's frames are freed on return."""
+    run = evaluate(cfg)
+    truth = run.series.scenario.object_mask
+    return [pearson(run.gi, truth), pearson(run.igi, truth), run.validity.ratio]
 
 
 def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
@@ -197,7 +176,6 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    clean_cache: dict = {}
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["value", "gi_pearson_r", "igi_pearson_r", "validity_ratio", "status"])
@@ -213,8 +191,7 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
                     raise ConfigurationError(f"N sweep values must be integers >= 2, got {value}")
                 row_cfg["count"] = int(value)
             try:
-                gi_r, igi_r, ratio = _evaluate_row(row_cfg, clean_cache)
-                writer.writerow([repr(float(value)), repr(gi_r), repr(igi_r), repr(ratio), "ok"])
+                writer.writerow([repr(float(value)), *map(repr, _sweep_row(row_cfg)), "ok"])
             except GhostsimError as exc:
                 writer.writerow([repr(float(value)), "", "", "", f"error: {exc}"])
     return csv_path

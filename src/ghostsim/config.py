@@ -21,6 +21,8 @@ amplitude before simulation and the manifest records the absolute value.
 from __future__ import annotations
 
 import json
+import re
+import sys
 
 from .errors import ConfigurationError
 from .measurement import POSITIONS
@@ -42,22 +44,44 @@ _DEFAULT_NOISE = {
 }
 
 
+_KEY_OR_BRACE = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]')
+_NON_FINITE = re.compile(r'"(?:[^"\\]|\\.)*"|(-?Infinity|NaN)')
+
+
 class _Source:
-    """Raw config text, for attributing errors to a line."""
+    """Raw config text, for attributing errors to the line of a JSON path."""
 
     def __init__(self, path: str, text: str):
         self.path = path
-        self.lines = text.splitlines()
+        self.text = text
+        self.prefix: tuple = ()  # ("config",) when the text is a manifest
 
-    def line_of(self, key: str) -> int:
-        needle = f'"{key}"'
-        for i, line in enumerate(self.lines, start=1):
-            if needle in line:
-                return i
-        return 1
+    def line_at(self, offset: int) -> int:
+        return self.text.count("\n", 0, offset) + 1
 
-    def fail(self, key: str, message: str) -> ConfigurationError:
-        return ConfigurationError(f"{self.path}:{self.line_of(key)}: {message}")
+    def line_of(self, key_path: tuple) -> int:
+        """Line of the key at key_path, else of its nearest enclosing key, else 1 (valid JSON only)."""
+        offsets, stack, last = {}, [], None
+        for m in _KEY_OR_BRACE.finditer(self.text):
+            if m.group(2):  # an object key; braces inside strings never match alone
+                last = json.loads(m.group(1))
+                offsets.setdefault((*stack[1:], last), m.start())
+            elif m.group() == "{":
+                stack.append(last)
+            elif m.group() == "}":
+                stack.pop()
+        full = self.prefix + key_path
+        while full and full not in offsets:
+            full = full[:-1]
+        return self.line_at(offsets[full]) if full else 1
+
+    def fail(self, key_path: tuple, message: str) -> ConfigurationError:
+        return ConfigurationError(f"{self.path}:{self.line_of(key_path)}: {message}")
+
+    def reject_non_finite(self, token: str):
+        """json.loads parse_constant hook: NaN and +-Infinity are not JSON numbers."""
+        first = next(m for m in _NON_FINITE.finditer(self.text) if m.group(1))
+        raise ConfigurationError(f"{self.path}:{self.line_at(first.start())}: non-finite number {token} is not allowed")
 
 
 def _is_int(v) -> bool:
@@ -65,39 +89,42 @@ def _is_int(v) -> bool:
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # finite and float-representable: rejects 1e999 (inf) and ints beyond float range
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def _check_keys(obj: dict, allowed: set, where: str, src: _Source) -> None:
+def _check_keys(obj: dict, allowed: set, section: tuple, src: _Source) -> None:
     for key in obj:
         if key not in allowed:
-            raise src.fail(key, f"unknown key {key!r} in {where}; allowed: {sorted(allowed)}")
+            where = ".".join(section) or "config"
+            raise src.fail((*section, key), f"unknown key {key!r} in {where}; allowed: {sorted(allowed)}")
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:
     """Validate config JSON text into a fully defaulted plain dict."""
     src = _Source(path, text)
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=src.reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
     if isinstance(raw, dict) and raw.get("format") == "ghostsim-manifest":
         # a manifest embeds the resolved config it was produced from
         raw = raw.get("config")
+        src.prefix = ("config",)
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{path}:1: config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, "config", src)
+    _check_keys(raw, _TOP_KEYS, (), src)
     for req in ("speckle", "object", "count"):
         if req not in raw:
             raise ConfigurationError(f"{path}:1: missing required key {req!r}")
 
     sp = raw["speckle"]
     if not isinstance(sp, dict):
-        raise src.fail("speckle", "speckle must be an object")
-    _check_keys(sp, _SPECKLE_KEYS, "speckle", src)
+        raise src.fail(("speckle",), "speckle must be an object")
+    _check_keys(sp, _SPECKLE_KEYS, ("speckle",), src)
     for req in ("width", "height"):
         if req not in sp:
-            raise src.fail("speckle", f"speckle.{req} is required")
+            raise src.fail(("speckle",), f"speckle.{req} is required")
     out_sp = {
         "width": sp["width"], "height": sp["height"],
         "grain_radius": sp.get("grain_radius", 2.0),
@@ -106,72 +133,74 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     }
     for key in ("width", "height", "seed"):
         if not _is_int(out_sp[key]):
-            raise src.fail(key, f"speckle.{key} must be an integer")
+            raise src.fail(("speckle", key), f"speckle.{key} must be an integer")
     if out_sp["width"] < 1 or out_sp["height"] < 1:
-        raise src.fail("width", "speckle dimensions must be >= 1")
+        raise src.fail(("speckle", "width"), "speckle dimensions must be >= 1")
     if out_sp["seed"] < 0:
-        raise src.fail("seed", "speckle.seed must be >= 0")
+        raise src.fail(("speckle", "seed"), "speckle.seed must be >= 0")
     for key in ("grain_radius", "mean_intensity"):
         if not _is_num(out_sp[key]) or not out_sp[key] > 0:
-            raise src.fail(key, f"speckle.{key} must be a number > 0")
+            raise src.fail(("speckle", key), f"speckle.{key} must be a number > 0")
         out_sp[key] = float(out_sp[key])
 
     obj = raw["object"]
     if not isinstance(obj, dict):
-        raise src.fail("object", "object must be an object")
-    _check_keys(obj, _OBJECT_KEYS, "object", src)
+        raise src.fail(("object",), "object must be an object")
+    _check_keys(obj, _OBJECT_KEYS, ("object",), src)
     if len(obj) != 1:
-        raise src.fail("object", 'object needs exactly one of "builtin" or "pgm"')
+        raise src.fail(("object",), 'object needs exactly one of "builtin" or "pgm"')
     if "builtin" in obj and obj["builtin"] not in BUILTIN_MASKS:
-        raise src.fail("builtin", f"unknown builtin mask {obj['builtin']!r}; choose from {BUILTIN_MASKS}")
+        raise src.fail(("object", "builtin"), f"unknown builtin mask {obj['builtin']!r}; choose from {BUILTIN_MASKS}")
     if "pgm" in obj and not isinstance(obj["pgm"], str):
-        raise src.fail("pgm", "object.pgm must be a path string")
+        raise src.fail(("object", "pgm"), "object.pgm must be a path string")
 
     count = raw["count"]
     if not _is_int(count):
-        raise src.fail("count", "count must be an integer")
+        raise src.fail(("count",), "count must be an integer")
     if count < 2:
-        raise src.fail("count", f"count must be >= 2, got {count}")
+        raise src.fail(("count",), f"count must be >= 2, got {count}")
 
     noise = dict(_DEFAULT_NOISE)
     if "noise" in raw:
         nz = raw["noise"]
         if not isinstance(nz, dict):
-            raise src.fail("noise", "noise must be an object")
-        _check_keys(nz, _NOISE_KEYS, "noise", src)
+            raise src.fail(("noise",), "noise must be an object")
+        _check_keys(nz, _NOISE_KEYS, ("noise",), src)
         if "amplitude" in nz and "amplitude_rel_std" in nz:
-            raise src.fail("amplitude_rel_std", "give either amplitude or amplitude_rel_std, not both")
+            raise src.fail(("noise", "amplitude_rel_std"), "give either amplitude or amplitude_rel_std, not both")
         noise.update({k: v for k, v in nz.items() if k != "spatial"})
         if nz.get("spatial") is not None:
             spt = nz["spatial"]
             if not isinstance(spt, dict):
-                raise src.fail("spatial", "noise.spatial must be an object")
-            _check_keys(spt, _SPATIAL_KEYS, "noise.spatial", src)
+                raise src.fail(("noise", "spatial"), "noise.spatial must be an object")
+            _check_keys(spt, _SPATIAL_KEYS, ("noise", "spatial"), src)
             region = spt.get("region")
             if region not in SPATIAL_REGIONS:
-                raise src.fail("region", f"unknown spatial region {region!r}; choose from {SPATIAL_REGIONS}")
+                raise src.fail(
+                    ("noise", "spatial", "region"), f"unknown spatial region {region!r}; choose from {SPATIAL_REGIONS}"
+                )
             if region == "custom" and "pgm" not in spt:
-                raise src.fail("region", "custom spatial region requires a pgm weights path")
+                raise src.fail(("noise", "spatial", "region"), "custom spatial region requires a pgm weights path")
             if region != "custom" and "pgm" in spt:
-                raise src.fail("pgm", "spatial.pgm only applies to the custom region")
+                raise src.fail(("noise", "spatial", "pgm"), "spatial.pgm only applies to the custom region")
             noise["spatial"] = {"region": region, **({"pgm": spt["pgm"]} if "pgm" in spt else {})}
     if noise["position"] not in POSITIONS:
-        raise src.fail("position", f"unknown position {noise['position']!r}; choose from {POSITIONS}")
+        raise src.fail(("noise", "position"), f"unknown position {noise['position']!r}; choose from {POSITIONS}")
     if noise["kind"] not in NOISE_KINDS:
-        raise src.fail("kind", f"unknown noise kind {noise['kind']!r}; choose from {NOISE_KINDS}")
+        raise src.fail(("noise", "kind"), f"unknown noise kind {noise['kind']!r}; choose from {NOISE_KINDS}")
     if noise["position"] == "C" and noise["spatial"] is None:
-        raise src.fail("position", "position C requires noise.spatial")
+        raise src.fail(("noise", "position"), "position C requires noise.spatial")
     for key in ("frequency", "phase", "sample_rate"):
         if not _is_num(noise[key]):
-            raise src.fail(key, f"noise.{key} must be a number")
+            raise src.fail(("noise", key), f"noise.{key} must be a number")
         noise[key] = float(noise[key])
     if noise["sample_rate"] <= 0:
-        raise src.fail("sample_rate", "noise.sample_rate must be > 0")
+        raise src.fail(("noise", "sample_rate"), "noise.sample_rate must be > 0")
     if not _is_int(noise["seed"]) or noise["seed"] < 0:
-        raise src.fail("seed", "noise.seed must be a non-negative integer")
+        raise src.fail(("noise", "seed"), "noise.seed must be a non-negative integer")
     amp_key = "amplitude_rel_std" if "amplitude_rel_std" in noise else "amplitude"
     if not _is_num(noise[amp_key]) or noise[amp_key] < 0:
-        raise src.fail(amp_key, f"noise.{amp_key} must be a number >= 0")
+        raise src.fail(("noise", amp_key), f"noise.{amp_key} must be a number >= 0")
     noise[amp_key] = float(noise[amp_key])
     if amp_key == "amplitude_rel_std":
         noise.pop("amplitude", None)  # the relative form owns the amplitude
@@ -180,16 +209,16 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     if "output" in raw:
         op = raw["output"]
         if not isinstance(op, dict):
-            raise src.fail("output", "output must be an object")
-        _check_keys(op, _OUTPUT_KEYS, "output", src)
+            raise src.fail(("output",), "output must be an object")
+        _check_keys(op, _OUTPUT_KEYS, ("output",), src)
         output.update(op)
     if not isinstance(output["dir"], str):
-        raise src.fail("dir", "output.dir must be a string")
+        raise src.fail(("output", "dir"), "output.dir must be a string")
     for key in ("emit_curves", "emit_frames"):
         if not isinstance(output[key], bool):
-            raise src.fail(key, f"output.{key} must be true or false")
+            raise src.fail(("output", key), f"output.{key} must be true or false")
     if output["igi_normalization"] not in IGI_NORMALIZATIONS:
-        raise src.fail("igi_normalization", f"igi_normalization must be one of {IGI_NORMALIZATIONS}")
+        raise src.fail(("output", "igi_normalization"), f"igi_normalization must be one of {IGI_NORMALIZATIONS}")
 
     return {"speckle": out_sp, "object": dict(obj), "count": count, "noise": noise, "output": output}
 

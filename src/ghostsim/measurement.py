@@ -7,16 +7,19 @@ Injection positions (clean frame F_n, clean bucket S0_n = sum F_n*T):
   B     S_n = S0_n + Q_n,                    I_n = F_n      (noise straight onto the bucket)
   C     S_n = S0_n,                          I_n = F_n + Q_n * weights(x)
 
-simulate() materializes everything; simulate_stream() yields one record at a
-time at O(width*height) memory. Both are pure functions of the scenario, so
-any record can be recomputed independently and runs replay bit-identically.
+Each frame is generated once: S0_n is summed from the clean frame, then one
+position switch (_injector) adds Q_n = noise_value(waveform, n). simulate()
+materializes everything and keeps S0, so an amplitude relative to std(S0)
+resolves from the same pass; simulate_stream() yields one record at a time at
+O(width*height) memory. Both are pure functions of the scenario, so any
+record can be recomputed independently and runs replay bit-identically.
 """
 from __future__ import annotations
 
 import hashlib
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator
 
 import numpy as np
@@ -71,6 +74,11 @@ class Scenario:
     def position(self) -> str:
         return self.noise.position
 
+    @property
+    def bucket_coupling(self) -> float:
+        """Factor Q_n reaches the bucket with: sum(T)/(w*h) through the object arm (A), else 1."""
+        return float(self.object_mask.sum() / self.object_mask.size) if self.position == "A" else 1.0
+
     def digest(self) -> str:
         """sha256 over every parameter that affects the record values."""
         h = hashlib.sha256()
@@ -100,7 +108,8 @@ class MeasurementSeries:
 
     s: np.ndarray              # (N,) float64
     frames: np.ndarray         # (N, height, width) float64
-    scenario_digest: str = ""
+    s0: np.ndarray | None = None        # clean bucket S0_n, when simulated
+    scenario: Scenario | None = None    # what was simulated, amplitude resolved
 
     def __post_init__(self) -> None:
         if self.frames.ndim != 3 or len(self.s) != len(self.frames):
@@ -124,64 +133,60 @@ class MeasurementSeries:
             yield MeasurementRecord(i + 1, float(self.s[i]), self.frames[i])
 
 
-def _record_maker(scenario: Scenario):
-    """Bind the per-ordinal record function for one scenario."""
+def _injector(scenario: Scenario):
+    """Bind the position switch: (n, S0_n, frame) -> S_n; position C adds to frame in place."""
+    position = scenario.position
+    waveform = scenario.noise.waveform
+    coupling = scenario.bucket_coupling
+    if position == "C":
+        weights = scenario.noise.spatial.weights(scenario.speckle.width, scenario.speckle.height)
+
+    def inject(n: int, s0: float, frame: np.ndarray) -> float:
+        if position == "none":
+            return s0
+        q = noise_value(waveform, n)
+        if position == "C":
+            frame += q * weights
+            return s0
+        return s0 + q * coupling  # A: coupling sum(T)/(w*h); B: coupling 1
+
+    return inject
+
+
+def simulate(scenario: Scenario, amplitude_rel_std: float | None = None) -> MeasurementSeries:
+    """Run the full scenario into memory, generating each frame once.
+
+    amplitude_rel_std sets the waveform amplitude to that multiple of std(S0).
+    """
     sp = scenario.speckle
-    mask = scenario.object_mask
-    wf = scenario.noise.waveform
-    pos = scenario.noise.position
-    kappa = mask.sum() / (sp.width * sp.height)  # object-arm coupling for position A
-    weights = None
-    if pos == "C":
-        weights = scenario.noise.spatial.weights(sp.width, sp.height)
-
-    def make(n: int) -> tuple[float, np.ndarray]:
-        frame = generate_frame(sp, n)
-        s = bucket_signal(frame, mask)
-        if pos == "A":
-            s += noise_value(wf, n) * kappa
-        elif pos == "B":
-            s += noise_value(wf, n)
-        elif pos == "C":
-            frame = frame + noise_value(wf, n) * weights
-        return s, frame
-
-    return make
-
-
-def simulate(scenario: Scenario) -> MeasurementSeries:
-    """Run the full scenario into memory."""
-    sp = scenario.speckle
-    n_rec = scenario.count
-    s = np.empty(n_rec)
-    frames = np.empty((n_rec, sp.height, sp.width))
-    make = _record_maker(scenario)
-    for i in range(n_rec):
-        s[i], frames[i] = make(i + 1)
-    return MeasurementSeries(s=s, frames=frames, scenario_digest=scenario.digest())
+    s0 = np.empty(scenario.count)
+    frames = np.empty((scenario.count, sp.height, sp.width))
+    for i in range(scenario.count):
+        frames[i] = generate_frame(sp, i + 1)
+        s0[i] = bucket_signal(frames[i], scenario.object_mask)
+    if amplitude_rel_std is not None:
+        sigma = float(s0.std())
+        if sigma == 0.0:
+            raise ConfigurationError("clean bucket series is constant; amplitude_rel_std cannot be resolved")
+        waveform = replace(scenario.noise.waveform, amplitude=float(amplitude_rel_std) * sigma)
+        scenario = replace(scenario, noise=replace(scenario.noise, waveform=waveform))
+    inject = _injector(scenario)
+    s = np.array([inject(i + 1, s0[i], frames[i]) for i in range(scenario.count)], dtype=np.float64)
+    return MeasurementSeries(s=s, frames=frames, s0=s0, scenario=scenario)
 
 
 def simulate_stream(scenario: Scenario) -> Iterator[MeasurementRecord]:
     """Yield records one at a time; memory stays O(width*height)."""
-    make = _record_maker(scenario)
-    for i in range(scenario.count):
-        s, frame = make(i + 1)
-        yield MeasurementRecord(i + 1, s, frame)
+    inject = _injector(scenario)
+    for n in range(1, scenario.count + 1):
+        frame = generate_frame(scenario.speckle, n)
+        yield MeasurementRecord(n, inject(n, bucket_signal(frame, scenario.object_mask), frame), frame)
 
 
 def clean_bucket_series(scenario: Scenario) -> np.ndarray:
-    """Bucket values of the same scenario with noise off (frames not kept)."""
-    sp = scenario.speckle
-    mask = scenario.object_mask
-    out = np.empty(scenario.count)
-    for i in range(scenario.count):
-        out[i] = bucket_signal(generate_frame(sp, i + 1), mask)
-    return out
-
-
-def bucket_curve(series: MeasurementSeries) -> np.ndarray:
-    """S_n against n, as stored."""
-    return series.s.copy()
+    """S0_n alone, frames not kept; a simulated series carries the same as series.s0."""
+    sp, mask = scenario.speckle, scenario.object_mask
+    return np.array([bucket_signal(generate_frame(sp, n), mask) for n in range(1, scenario.count + 1)])
 
 
 def column_curve(series: MeasurementSeries, column: int) -> np.ndarray:

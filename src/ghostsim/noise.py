@@ -11,9 +11,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import Generator, Philox
 
 from .errors import ConfigurationError, ContractError
+from .speckle import ordinal_rng
 
 NOISE_KINDS = ("off", "constant", "sinusoid", "gaussian_white", "poisson")
 SPATIAL_REGIONS = ("full", "right_half", "double_slit_right_half", "custom")
@@ -43,11 +43,6 @@ class NoiseWaveform:
             raise ConfigurationError("seed must be a non-negative integer")
 
 
-def _rng(seed: int, ordinal: int) -> Generator:
-    key = np.array([seed, _STREAM_TAG], dtype=np.uint64)
-    return Generator(Philox(counter=ordinal << 128, key=key))
-
-
 def noise_value(waveform: NoiseWaveform, n: int) -> float:
     """Waveform sample Q_n at measurement ordinal n (1-based). Always >= 0."""
     if n < 1:
@@ -62,10 +57,10 @@ def noise_value(waveform: NoiseWaveform, n: int) -> float:
         t = (n - 1) / waveform.sample_rate
         return 0.5 * waveform.amplitude * (1.0 + math.sin(2.0 * math.pi * waveform.frequency * t + waveform.phase))
     if k == "gaussian_white":
-        z = _rng(waveform.seed, n).standard_normal()
+        z = ordinal_rng(waveform.seed, _STREAM_TAG, n).standard_normal()
         return max(0.0, waveform.amplitude + 0.25 * waveform.amplitude * z)
     # poisson
-    return float(_rng(waveform.seed, n).poisson(waveform.amplitude))
+    return float(ordinal_rng(waveform.seed, _STREAM_TAG, n).poisson(waveform.amplitude))
 
 
 def per_step_noise_delta_bound(waveform: NoiseWaveform) -> float:
@@ -129,8 +124,3 @@ class SpatialNoiseMask:
         if cw.shape != (height, width):
             raise ContractError(f"custom_weights shape {cw.shape} does not match frame {(height, width)}")
         return cw.copy()
-
-
-def noise_field(waveform: NoiseWaveform, spatial: SpatialNoiseMask, n: int, width: int, height: int) -> np.ndarray:
-    """Additive reference-plane noise at step n: Q_n times the spatial weights."""
-    return noise_value(waveform, n) * spatial.weights(width, height)

@@ -73,8 +73,11 @@ class IgiAccumulator:
     """Streaming IGI state: previous record plus the running difference sum.
 
     Memory is O(width*height) and independent of how many records flow
-    through. Single-writer: one pusher at a time. finalize() is a snapshot;
-    pushing more records afterwards and finalizing again is allowed.
+    through. Records must arrive in ordinal order with no gaps (n, n+1, ...);
+    a skipped, repeated or reordered record is a ContractError, since it
+    would silently pair the wrong frames. Single-writer: one pusher at a
+    time. finalize() is a snapshot; pushing more records afterwards and
+    finalizing again is allowed.
     """
 
     def __init__(self, width: int, height: int):
@@ -83,6 +86,7 @@ class IgiAccumulator:
         self.width = width
         self.height = height
         self.pairs = 0
+        self._prev_n: int | None = None
         self._prev_s: float | None = None
         self._prev_frame: np.ndarray | None = None
         self._sum = np.zeros((height, width))
@@ -92,8 +96,11 @@ class IgiAccumulator:
         if frame.shape != (self.height, self.width):
             raise ContractError(f"frame {frame.shape} does not fit accumulator {(self.height, self.width)}")
         if self._prev_frame is not None:
+            if record.n != self._prev_n + 1:
+                raise ContractError(f"record {record.n} follows record {self._prev_n}; ordinals must be consecutive")
             self._sum += (record.s - self._prev_s) * (frame.astype(np.float64) - self._prev_frame)
             self.pairs += 1
+        self._prev_n = record.n
         self._prev_s = float(record.s)
         self._prev_frame = np.asarray(frame, dtype=np.float64).copy()
 

@@ -48,9 +48,12 @@ class SpeckleParams:
             raise ConfigurationError("seed must be a non-negative integer")
 
 
-def _rng(seed: int, ordinal: int) -> Generator:
-    # One disjoint 2^128-counter block per ordinal; a frame consumes far less.
-    key = np.array([seed, _STREAM_TAG], dtype=np.uint64)
+def ordinal_rng(seed: int, tag: int, ordinal: int) -> Generator:
+    """Philox generator for one ordinal of the stream keyed on (seed, tag).
+
+    One disjoint 2^128-counter block per ordinal; a frame consumes far less.
+    """
+    key = np.array([seed, tag], dtype=np.uint64)
     return Generator(Philox(counter=ordinal << 128, key=key))
 
 
@@ -70,7 +73,7 @@ def generate_frame(params: SpeckleParams, frame_index: int) -> np.ndarray:
     """
     if frame_index < 1:
         raise ContractError(f"frame_index must be >= 1, got {frame_index}")
-    rng = _rng(params.seed, frame_index)
+    rng = ordinal_rng(params.seed, _STREAM_TAG, frame_index)
     z = rng.standard_normal((2, params.height, params.width))
     field = z[0] + 1j * z[1]
     smooth = np.fft.ifft2(np.fft.fft2(field) * _transfer(params.width, params.height, float(params.grain_radius)))
@@ -78,30 +81,3 @@ def generate_frame(params: SpeckleParams, frame_index: int) -> np.ndarray:
     # |filtered Gaussian field|^2 is almost surely nonzero somewhere
     intensity *= params.mean_intensity / intensity.mean()
     return intensity
-
-
-class FrameSequence:
-    """Replayable view of frames 1..count. Iterating never consumes it."""
-
-    def __init__(self, params: SpeckleParams, count: int):
-        if count < 2:
-            raise ConfigurationError(f"count must be >= 2, got {count}")
-        self.params = params
-        self.count = count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __iter__(self):
-        for n in range(1, self.count + 1):
-            yield generate_frame(self.params, n)
-
-    def __getitem__(self, frame_index: int) -> np.ndarray:
-        if not 1 <= frame_index <= self.count:
-            raise ContractError(f"frame_index out of range 1..{self.count}")
-        return generate_frame(self.params, frame_index)
-
-
-def generate_sequence(params: SpeckleParams, count: int) -> FrameSequence:
-    """Frames 1..count as a restartable sequence (count >= 2)."""
-    return FrameSequence(params, count)

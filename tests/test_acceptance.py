@@ -60,9 +60,9 @@ def small_series_set():
 @pytest.fixture(scope="session")
 def clean_run():
     """The clean preset, simulated once and shared; build time is recorded."""
-    scenario, _, _ = _build_scenario(_parsed_preset("clean"))
+    scenario, rel_std = _build_scenario(_parsed_preset("clean"))
     start = time.time()
-    series = simulate(scenario)
+    series = simulate(scenario, rel_std)
     return {"series": series, "scenario": scenario, "sim_seconds": time.time() - start}
 
 
@@ -183,8 +183,7 @@ def test_criterion_7_reference_noise_hits_gi_only(clean_run):
     gi_clean = pearson(gi_reconstruct(clean_series), _TRUTH)
     igi_clean = pearson(igi_reconstruct(clean_series), _TRUTH)
 
-    scenario, _, _ = _build_scenario(_parsed_preset("position-C-half"))
-    series = simulate(scenario)
+    series = simulate(*_build_scenario(_parsed_preset("position-C-half")))
     gi_noisy = pearson(gi_reconstruct(series), _TRUTH)
     igi_noisy = pearson(igi_reconstruct(series), _TRUTH)
 

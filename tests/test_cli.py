@@ -226,3 +226,53 @@ def test_preset_configs_are_valid():
             assert cfg["noise"]["position"] in ("A", "B", "C")
     with pytest.raises(Exception):
         preset_config("nonesuch")
+
+
+def _count_frames(monkeypatch) -> list:
+    import ghostsim.measurement as measurement
+
+    calls = []
+    real = measurement.generate_frame
+
+    def counting(params, n):
+        calls.append(n)
+        return real(params, n)
+
+    monkeypatch.setattr(measurement, "generate_frame", counting)
+    return calls
+
+
+def test_run_and_sweep_generate_each_frame_once(tmp_path, monkeypatch):
+    cfg = _small_cfg(tmp_path, position="B", kind="sinusoid", amplitude_rel_std=2.0, frequency=5.0)
+    calls = _count_frames(monkeypatch)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert sorted(calls) == list(range(1, 41))  # count = 40, the clean bucket comes from the same pass
+    calls.clear()
+    assert main(["sweep", str(cfg), "--axis", "N", "--values", "10,20", "--out", str(tmp_path / "s")]) == 0
+    assert len(calls) == 30
+
+
+def test_sweep_row_equals_run_metrics(tmp_path):
+    cfg = _small_cfg(tmp_path, position="A", kind="sinusoid", amplitude_rel_std=50.0, frequency=0.5)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert main(["sweep", str(cfg), "--axis", "N", "--values", "40", "--out", str(tmp_path / "s")]) == 0
+    row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1].split(",")
+    gi = json.loads((tmp_path / "run" / "metrics_gi.json").read_text())["pearson_r"]
+    igi = json.loads((tmp_path / "run" / "metrics_igi.json").read_text())["pearson_r"]
+    assert (float(row[1]), float(row[2])) == (gi, igi)
+
+
+def test_non_finite_numbers_exit_2_with_line(tmp_path, capsys):
+    texts = {
+        "nan.json": '{\n  "speckle": {"width": 16, "height": 16},\n  "object": {"builtin": "disk"},\n'
+        '  "count": 5,\n  "noise": {"position": "B", "kind": "constant", "amplitude": NaN}\n}',
+        "inf.json": '{\n  "speckle": {"width": 16, "height": 16,\n    "mean_intensity": Infinity},\n'
+        '  "object": {"builtin": "disk"},\n  "count": 5\n}',
+    }
+    for (name, text), line in zip(texts.items(), (5, 3)):
+        path = tmp_path / name
+        path.write_text(text)
+        out = tmp_path / f"out-{name}"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert f"{path}:{line}:" in capsys.readouterr().err
+        assert not out.exists()

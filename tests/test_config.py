@@ -144,3 +144,37 @@ def test_load_config_reads_files(tmp_path):
     assert cfg["count"] == 10
     with pytest.raises(OSError):
         load_config(tmp_path / "absent.json")
+
+
+def test_non_finite_numbers_rejected():
+    nan_amp = '{\n  "speckle": {"width": 16, "height": 16},\n  "object": {"builtin": "disk"},\n  "count": 5,\n' \
+        '  "noise": {"kind": "constant", "amplitude": NaN}\n}'
+    inf_mean = '{\n  "speckle": {"width": 16, "height": 16, "mean_intensity": Infinity},\n' \
+        '  "object": {"pgm": "NaN.pgm"},\n  "count": 5\n}'
+    overflow = '{"speckle": {"width": 16, "height": 16}, "object": {"builtin": "disk"}, "count": 5,' \
+        ' "noise": {"kind": "constant", "amplitude": 1e999}}'
+    for text, prefix in ((nan_amp, "x.json:5:"), (inf_mean, "x.json:2:"), (overflow, "x.json:1:")):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config_text(text, path="x.json")
+        assert str(err.value).startswith(prefix)
+
+
+def test_errors_are_attributed_by_json_path():
+    text = """{
+  "speckle": {"width": 16, "height": 16,
+    "seed": 3},
+  "object": {"builtin": "disk"},
+  "count": 5,
+  "noise": {"kind": "gaussian_white", "amplitude": 1.0,
+    "seed": -1}
+}"""
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text(text, path="x.json")
+    assert str(err.value).startswith("x.json:7:")
+    assert "noise.seed" in str(err.value)
+    # the same path inside a manifest is found under its "config" key
+    manifest = json.dumps({"format": "ghostsim-manifest", "config": json.loads(text.replace("-1", "-2"))}, indent=2)
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text(manifest, path="m.json")
+    bad_line = next(i for i, line in enumerate(manifest.splitlines(), 1) if '"seed": -2' in line)
+    assert str(err.value).startswith(f"m.json:{bad_line}:")

@@ -13,7 +13,6 @@ from ghostsim import (
     Scenario,
     SpatialNoiseMask,
     SpeckleParams,
-    bucket_curve,
     bucket_signal,
     builtin_mask,
     clean_bucket_series,
@@ -128,6 +127,28 @@ def test_clean_bucket_series_ignores_noise():
     assert np.array_equal(clean, simulate(_scenario()).s)
 
 
+def test_simulate_keeps_the_clean_bucket():
+    wf = NoiseWaveform(kind="sinusoid", amplitude=300.0, frequency=2.0, sample_rate=25.0)
+    clean = clean_bucket_series(_scenario())
+    for pos, spatial in (("none", None), ("A", None), ("B", None), ("C", SpatialNoiseMask(region="full"))):
+        series = simulate(_scenario(position=pos, waveform=wf, spatial=spatial))
+        assert np.array_equal(series.s0, clean)
+
+
+def test_relative_amplitude_resolves_from_the_same_pass():
+    wf = NoiseWaveform(kind="sinusoid", amplitude=0.0, frequency=2.0, sample_rate=25.0)
+    scenario = _scenario(position="B", waveform=wf)
+    series = simulate(scenario, amplitude_rel_std=3.0)
+    clean = clean_bucket_series(scenario)
+    resolved = series.scenario.noise.waveform
+    assert resolved.amplitude == 3.0 * float(clean.std())
+    assert np.array_equal(series.s, clean + np.array([noise_value(resolved, n) for n in range(1, 13)]))
+    assert scenario.noise.waveform.amplitude == 0.0  # the input scenario is left as it was
+    flat = Scenario(speckle=_SP, object_mask=np.zeros((16, 16)), count=12)
+    with pytest.raises(ConfigurationError):
+        simulate(flat, amplitude_rel_std=1.0)
+
+
 def test_digest_tracks_parameters():
     base = _scenario().digest()
     assert base == _scenario().digest()
@@ -155,7 +176,6 @@ def test_scenario_validation():
 
 def test_curves():
     series = simulate(_scenario())
-    assert np.array_equal(bucket_curve(series), series.s)
     col = column_curve(series, 3)
     assert np.allclose(col, series.frames[:, :, 3].sum(axis=1), rtol=0, atol=0)
     with pytest.raises(ContractError):

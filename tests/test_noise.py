@@ -8,7 +8,6 @@ from ghostsim import (
     ContractError,
     NoiseWaveform,
     SpatialNoiseMask,
-    noise_field,
     noise_value,
     per_step_noise_delta_bound,
 )
@@ -186,11 +185,3 @@ def test_spatial_validation():
     with pytest.raises(ConfigurationError):
         SpatialNoiseMask(region="full", custom_weights=np.ones((2, 2)))
 
-
-def test_noise_field_composition():
-    w = NoiseWaveform(kind="constant", amplitude=8.0)
-    sm = SpatialNoiseMask(region="right_half")
-    f = noise_field(w, sm, 1, 4, 4)
-    assert f.shape == (4, 4)
-    assert np.array_equal(f[:, :2], np.zeros((4, 2)))
-    assert np.array_equal(f[:, 2:], np.full((4, 2), 8.0))

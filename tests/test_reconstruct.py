@@ -92,6 +92,20 @@ def test_accumulator_contracts():
         IgiAccumulator(0, 4)
 
 
+def test_accumulator_requires_consecutive_ordinals():
+    frame = np.ones((2, 2))
+    skipped = IgiAccumulator(2, 2)
+    skipped.push(MeasurementRecord(1, 1.0, frame))
+    with pytest.raises(ContractError):
+        skipped.push(MeasurementRecord(3, 2.0, frame))
+    repeated = IgiAccumulator(2, 2)
+    repeated.push(MeasurementRecord(1, 1.0, frame))
+    repeated.push(MeasurementRecord(2, 2.0, frame))
+    with pytest.raises(ContractError):
+        repeated.push(MeasurementRecord(2, 2.0, frame))
+    assert repeated.pairs == 1  # the rejected record left the state alone
+
+
 def test_dc_offset_invariance():
     series = synthetic_series(6)
     gi0, igi0 = gi_reconstruct(series), igi_reconstruct(series)

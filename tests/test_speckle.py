@@ -4,10 +4,8 @@ import pytest
 from ghostsim import (
     ConfigurationError,
     ContractError,
-    FrameSequence,
     SpeckleParams,
     generate_frame,
-    generate_sequence,
 )
 
 
@@ -115,27 +113,3 @@ def test_inter_frame_independence():
         assert abs(r) < 0.05
         prev = cur
 
-
-def test_sequence_matches_direct_generation():
-    p = SpeckleParams(width=16, height=16, seed=17)
-    seq = generate_sequence(p, 6)
-    assert len(seq) == 6
-    frames = list(seq)
-    for i, f in enumerate(frames):
-        assert np.array_equal(f, generate_frame(p, i + 1))
-    # Iteration restarts from frame 1 every time.
-    again = list(seq)
-    for f, g in zip(frames, again):
-        assert np.array_equal(f, g)
-    assert np.array_equal(seq[3], generate_frame(p, 3))
-
-
-def test_sequence_validation():
-    p = SpeckleParams(width=16, height=16, seed=17)
-    with pytest.raises(ConfigurationError):
-        generate_sequence(p, 1)
-    seq = FrameSequence(p, 4)
-    with pytest.raises(ContractError):
-        seq[0]
-    with pytest.raises(ContractError):
-        seq[5]
