@@ -31,7 +31,7 @@ from .measurement import (
     simulate_stream,
     write_curve_csv,
 )
-from .metrics import QualityReport, affine_mse, cnr, oracle_covariance_image, pearson, quality_report
+from .metrics import QualityReport, affine_mse, cnr, pearson, quality_report
 from .noise import (
     NOISE_KINDS,
     SPATIAL_REGIONS,
@@ -75,7 +75,6 @@ __all__ = [
     "QualityReport",
     "affine_mse",
     "cnr",
-    "oracle_covariance_image",
     "pearson",
     "quality_report",
     "NOISE_KINDS",

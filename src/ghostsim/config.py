@@ -151,6 +151,10 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
         raise src.fail(("object",), 'object needs exactly one of "builtin" or "pgm"')
     if "builtin" in obj and obj["builtin"] not in BUILTIN_MASKS:
         raise src.fail(("object", "builtin"), f"unknown builtin mask {obj['builtin']!r}; choose from {BUILTIN_MASKS}")
+    if "builtin" in obj and min(out_sp["width"], out_sp["height"]) < 8:
+        raise src.fail(
+            ("object", "builtin"), f"builtin masks need a grid of at least 8x8, got {out_sp['width']}x{out_sp['height']}"
+        )
     if "pgm" in obj and not isinstance(obj["pgm"], str):
         raise src.fail(("object", "pgm"), "object.pgm must be a path string")
 
@@ -196,6 +200,8 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
         noise[key] = float(noise[key])
     if noise["sample_rate"] <= 0:
         raise src.fail(("noise", "sample_rate"), "noise.sample_rate must be > 0")
+    if noise["kind"] == "sinusoid" and noise["frequency"] < 0:
+        raise src.fail(("noise", "frequency"), "noise.frequency of a sinusoid must be >= 0")
     if not _is_int(noise["seed"]) or noise["seed"] < 0:
         raise src.fail(("noise", "seed"), "noise.seed must be a non-negative integer")
     amp_key = "amplitude_rel_std" if "amplitude_rel_std" in noise else "amplitude"

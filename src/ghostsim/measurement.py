@@ -17,7 +17,7 @@ record can be recomputed independently and runs replay bit-identically.
 from __future__ import annotations
 
 import hashlib
-import io
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from typing import Iterator
@@ -33,6 +33,7 @@ POSITIONS = ("none", "A", "B", "C")
 
 _GSIM_MAGIC = b"GSIM"
 _GSIM_VERSION = 1
+_BLOCK = 2048  # records per block for .gsim writes and GI/IGI accumulation; ~64 MB of f64 frames at 64x64
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,9 @@ class Scenario:
         self.object_mask = mask
 
     @property
-    def position(self) -> str:
-        return self.noise.position
-
-    @property
     def bucket_coupling(self) -> float:
         """Factor Q_n reaches the bucket with: sum(T)/(w*h) through the object arm (A), else 1."""
-        return float(self.object_mask.sum() / self.object_mask.size) if self.position == "A" else 1.0
+        return float(self.object_mask.sum() / self.object_mask.size) if self.noise.position == "A" else 1.0
 
     def digest(self) -> str:
         """sha256 over every parameter that affects the record values."""
@@ -107,7 +104,7 @@ class MeasurementSeries:
     """Materialized run: s[i] and frames[i] belong to ordinal n = i + 1."""
 
     s: np.ndarray              # (N,) float64
-    frames: np.ndarray         # (N, height, width) float64
+    frames: np.ndarray         # (N, height, width): float64 when simulated, float32 when loaded
     s0: np.ndarray | None = None        # clean bucket S0_n, when simulated
     scenario: Scenario | None = None    # what was simulated, amplitude resolved
 
@@ -135,7 +132,7 @@ class MeasurementSeries:
 
 def _injector(scenario: Scenario):
     """Bind the position switch: (n, S0_n, frame) -> S_n; position C adds to frame in place."""
-    position = scenario.position
+    position = scenario.noise.position
     waveform = scenario.noise.waveform
     coupling = scenario.bucket_coupling
     if position == "C":
@@ -158,10 +155,13 @@ def simulate(scenario: Scenario, amplitude_rel_std: float | None = None) -> Meas
 
     amplitude_rel_std sets the waveform amplitude to that multiple of std(S0).
     """
-    sp = scenario.speckle
-    s0 = np.empty(scenario.count)
-    frames = np.empty((scenario.count, sp.height, sp.width))
-    for i in range(scenario.count):
+    sp, n = scenario.speckle, scenario.count
+    try:
+        s0, frames = np.empty(n), np.empty((n, sp.height, sp.width))
+    except MemoryError as exc:
+        gb = n * (sp.width * sp.height + 2) * 8e-9  # frames, S0 and S in float64
+        raise ContractError(f"count {n} at {sp.width}x{sp.height} needs {gb:.3g} GB; it does not fit in memory") from exc
+    for i in range(n):
         frames[i] = generate_frame(sp, i + 1)
         s0[i] = bucket_signal(frames[i], scenario.object_mask)
     if amplitude_rel_std is not None:
@@ -171,7 +171,7 @@ def simulate(scenario: Scenario, amplitude_rel_std: float | None = None) -> Meas
         waveform = replace(scenario.noise.waveform, amplitude=float(amplitude_rel_std) * sigma)
         scenario = replace(scenario, noise=replace(scenario.noise, waveform=waveform))
     inject = _injector(scenario)
-    s = np.array([inject(i + 1, s0[i], frames[i]) for i in range(scenario.count)], dtype=np.float64)
+    s = np.array([inject(i + 1, s0[i], frames[i]) for i in range(n)], dtype=np.float64)
     return MeasurementSeries(s=s, frames=frames, s0=s0, scenario=scenario)
 
 
@@ -193,46 +193,46 @@ def column_curve(series: MeasurementSeries, column: int) -> np.ndarray:
     """Per-record sum of one reference column (a slit-plane photocurrent)."""
     if not 0 <= column < series.width:
         raise ContractError(f"column {column} outside 0..{series.width - 1}")
-    return series.frames[:, :, column].sum(axis=1)
+    return series.frames[:, :, column].sum(axis=1, dtype=np.float64)
+
+
+def _gsim_record(width: int, height: int) -> np.dtype:
+    """One .gsim record: the f64 bucket value, then the f32 frame, row-major, little-endian."""
+    return np.dtype([("s", "<f8"), ("frame", "<f4", (height, width))])
 
 
 def save_series(series: MeasurementSeries, path) -> None:
-    """Binary container: GSIM header, then per record f64 bucket + f32 frame."""
-    header = _GSIM_MAGIC + struct.pack("<IIII", _GSIM_VERSION, series.width, series.height, len(series))
+    """Binary container: GSIM header, then one _gsim_record per ordinal, written _BLOCK at a time."""
+    record = _gsim_record(series.width, series.height)
     with open(path, "wb") as fh:
-        fh.write(header)
-        for i in range(len(series)):
-            fh.write(struct.pack("<d", series.s[i]))
-            fh.write(series.frames[i].astype("<f4").tobytes())
+        fh.write(_GSIM_MAGIC + struct.pack("<IIII", _GSIM_VERSION, series.width, series.height, len(series)))
+        for a in range(0, len(series), _BLOCK):
+            np.rec.fromarrays([series.s[a : a + _BLOCK], series.frames[a : a + _BLOCK]], dtype=record).tofile(fh)
 
 
 def load_series(path) -> MeasurementSeries:
+    """One np.fromfile read; frames stay float32, as stored. Sizes are checked first: a dtype must fit a C int."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != _GSIM_MAGIC:
-        raise PgmFormatError("not a measurement container: missing GSIM magic")
-    if len(buf) < 20:
-        raise PgmFormatError("truncated container header")
-    version, width, height, count = struct.unpack("<IIII", buf[4:20])
-    if version != _GSIM_VERSION:
-        raise PgmFormatError(f"unsupported container version {version}")
-    rec_bytes = 8 + width * height * 4
-    need = 20 + count * rec_bytes
-    if len(buf) < need:
-        raise PgmFormatError(f"truncated container: {len(buf)} of {need} bytes")
-    s = np.empty(count)
-    frames = np.empty((count, height, width))
-    view = memoryview(buf)
-    for i in range(count):
-        off = 20 + i * rec_bytes
-        (s[i],) = struct.unpack_from("<d", view, off)
-        frames[i] = np.frombuffer(view, dtype="<f4", count=width * height, offset=off + 8).reshape(height, width)
-    return MeasurementSeries(s=s, frames=frames)
+        head = fh.read(20)
+        if head[:4] != _GSIM_MAGIC:
+            raise PgmFormatError("not a measurement container: missing GSIM magic")
+        if len(head) < 20:
+            raise PgmFormatError("truncated container header")
+        version, width, height, count = struct.unpack("<IIII", head[4:])
+        if version != _GSIM_VERSION:
+            raise PgmFormatError(f"unsupported container version {version}")
+        size, need = os.fstat(fh.fileno()).st_size, 20 + count * (8 + width * height * 4)
+        if size < need:
+            raise PgmFormatError(f"truncated container: {size} of {need} bytes")
+        if count < 2:
+            raise PgmFormatError(f"container holds {count} records; a series needs at least 2")
+        records = np.fromfile(fh, dtype=_gsim_record(width, height), count=count)
+    return MeasurementSeries(s=records["s"], frames=records["frame"])
 
 
 def write_curve_csv(values: np.ndarray, path) -> None:
     """Two columns, n (1-based) and value, with full float precision."""
-    with io.open(path, "w", newline="\n") as fh:
+    with open(path, "w", newline="\n") as fh:
         fh.write("n,value\n")
         for i, v in enumerate(values):
             fh.write(f"{i + 1},{float(v)!r}\n")

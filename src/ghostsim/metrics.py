@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError
-from .measurement import MeasurementSeries
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
@@ -68,28 +67,3 @@ class QualityReport:
 
 def quality_report(image: np.ndarray, truth: np.ndarray) -> QualityReport:
     return QualityReport(cnr=cnr(image, truth), pearson_r=pearson(image, truth), mse=affine_mse(image, truth))
-
-
-def oracle_covariance_image(series: MeasurementSeries) -> np.ndarray:
-    """Reference covariance image by definition, one pixel at a time.
-
-    Deliberately naive (pure Python loops, no vectorization) and deliberately
-    sharing no code with gi_reconstruct: this is the independent check the
-    fast path is verified against. Use on small series only.
-    """
-    n = len(series)
-    height, width = series.height, series.width
-    s_vals = [float(v) for v in series.s]
-    s_mean = sum(s_vals) / n
-    out = np.empty((height, width))
-    for r in range(height):
-        for c in range(width):
-            pix_mean = 0.0
-            for i in range(n):
-                pix_mean += float(series.frames[i, r, c])
-            pix_mean /= n
-            acc = 0.0
-            for i in range(n):
-                acc += (s_vals[i] - s_mean) * (float(series.frames[i, r, c]) - pix_mean)
-            out[r, c] = acc / n
-    return out

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, PgmFormatError
-from .measurement import MeasurementRecord, MeasurementSeries
+from .measurement import _BLOCK, MeasurementRecord, MeasurementSeries
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
 
 _F64_MAGIC = b"GF64"
 _F64_VERSION = 1
-_BLOCK = 2048  # records per accumulation block; bounds temporaries to ~64 MB
 
 IGI_NORMALIZATIONS = ("unbiased", "paper-literal")
 
@@ -129,7 +128,7 @@ class ValidityReport:
 
 
 def validity_diagnostic(
-    clean_bucket: np.ndarray | MeasurementSeries,
+    clean_bucket: np.ndarray,
     waveform: NoiseWaveform,
     coupling: float = 1.0,
 ) -> ValidityReport:
@@ -138,7 +137,7 @@ def validity_diagnostic(
     coupling scales the waveform before it reaches the bucket (the object-arm
     path attenuates position-A noise by sum(T)/(w*h); pass that factor here).
     """
-    s = clean_bucket.s if isinstance(clean_bucket, MeasurementSeries) else np.asarray(clean_bucket, dtype=np.float64)
+    s = np.asarray(clean_bucket, dtype=np.float64)
     if len(s) < 2:
         raise ContractError("validity diagnostic needs at least 2 bucket values")
     deltas = np.diff(s)

@@ -25,3 +25,28 @@ def synthetic_series(seed, count=50, width=8, height=8):
 @pytest.fixture
 def series8(tmp_path):
     return synthetic_series(1234)
+
+
+def oracle_covariance_image(series: MeasurementSeries) -> np.ndarray:
+    """Reference covariance image by definition, one pixel at a time.
+
+    Deliberately naive (pure Python loops, no vectorization) and deliberately
+    sharing no code with gi_reconstruct: this is the independent check the
+    fast path is verified against. Use on small series only.
+    """
+    n = len(series)
+    height, width = series.height, series.width
+    s_vals = [float(v) for v in series.s]
+    s_mean = sum(s_vals) / n
+    out = np.empty((height, width))
+    for r in range(height):
+        for c in range(width):
+            pix_mean = 0.0
+            for i in range(n):
+                pix_mean += float(series.frames[i, r, c])
+            pix_mean /= n
+            acc = 0.0
+            for i in range(n):
+                acc += (s_vals[i] - s_mean) * (float(series.frames[i, r, c]) - pix_mean)
+            out[r, c] = acc / n
+    return out

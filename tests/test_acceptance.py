@@ -21,7 +21,6 @@ from ghostsim import (
     generate_frame,
     gi_reconstruct,
     igi_reconstruct,
-    oracle_covariance_image,
     pearson,
     simulate,
 )
@@ -30,7 +29,7 @@ from ghostsim.config import parse_config_text
 from ghostsim.presets import preset_config
 from ghostsim.speckle import SpeckleParams
 
-from conftest import synthetic_series
+from conftest import oracle_covariance_image, synthetic_series
 
 pytestmark = pytest.mark.acceptance
 

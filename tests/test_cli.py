@@ -102,6 +102,36 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["run", str(needs_spatial)]) == 2
 
 
+def test_negative_sinusoid_frequency_exits_2_with_line(tmp_path, capsys):
+    path = tmp_path / "freq.json"
+    path.write_text(
+        '{\n  "speckle": {"width": 16, "height": 16},\n  "object": {"builtin": "disk"},\n  "count": 5,\n'
+        '  "noise": {"position": "B", "kind": "sinusoid", "amplitude": 1.0,\n    "frequency": -2.0}\n}'
+    )
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:6:") and "noise.frequency" in err
+
+
+def test_builtin_mask_on_small_grid_exits_2_with_line(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    path.write_text('{\n  "speckle": {"width": 4, "height": 4},\n  "count": 5,\n  "object": {"builtin": "disk"}\n}')
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:4:") and "8x8" in err
+
+
+def test_huge_count_exits_3_without_traceback(tmp_path, capsys):
+    # 10**12 records: numpy refuses the allocation at once; a smaller count might really allocate
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"speckle": {"width": 64, "height": 64}, "object": {"builtin": "TH"}, "count": 10**12}))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "GB" in err[0]
+    assert not out.exists()
+
+
 def test_bad_cli_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "x.json", "--axis", "bogus", "--values", "1"])

@@ -1,8 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
+import ghostsim.measurement as measurement
 from ghostsim import (
     ConfigurationError,
     ContractError,
@@ -215,6 +217,57 @@ def test_series_container_errors(tmp_path):
     bad_version.write_bytes(data[:4] + b"\x09\x00\x00\x00" + data[8:])
     with pytest.raises(PgmFormatError):
         load_series(bad_version)
+
+
+def test_series_container_hand_packed_layout(tmp_path):
+    # packed by hand to the documented layout: header, then per record <f8 bucket and <f4 frame, row-major
+    width, height = 3, 2
+    buckets = [1.5, -2.25, 1e300]
+    frames = [[float(i * 10 + p) / 8.0 for p in range(width * height)] for i in range(3)]
+    data = struct.pack("<4sIIII", b"GSIM", 1, width, height, 3)
+    for s, frame in zip(buckets, frames):
+        data += struct.pack("<d", s) + struct.pack(f"<{width * height}f", *frame)
+    path = tmp_path / "hand.gsim"
+    path.write_bytes(data)
+    back = load_series(path)
+    assert back.frames.dtype == np.float32  # the stored precision, not widened
+    assert back.s.tolist() == buckets
+    assert np.array_equal(back.frames, np.array(frames, dtype=np.float32).reshape(3, height, width))
+    again = tmp_path / "again.gsim"
+    save_series(back, again)
+    assert again.read_bytes() == data
+
+
+def test_series_container_resave_is_byte_identical(tmp_path):
+    simulated = simulate(_scenario(count=5))
+    rng = np.random.Generator(np.random.PCG64(3))
+    stored = MeasurementSeries(s=rng.normal(size=4), frames=rng.exponential(size=(4, 5, 7)).astype(np.float32))
+    for name, series in (("f64", simulated), ("f32", stored)):
+        first, second = tmp_path / f"{name}-1.gsim", tmp_path / f"{name}-2.gsim"
+        save_series(series, first)
+        save_series(load_series(first), second)
+        assert first.read_bytes() == second.read_bytes(), name
+
+
+def test_series_container_rejects_oversized_headers_before_allocating(tmp_path, monkeypatch):
+    good = tmp_path / "run.gsim"
+    save_series(simulate(_scenario(count=3)), good)
+    data = good.read_bytes()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking the header against the file size")
+
+    monkeypatch.setattr(measurement, "_gsim_record", refuse)
+    monkeypatch.setattr(np, "fromfile", refuse)
+    too_many = tmp_path / "many.gsim"
+    too_many.write_bytes(data[:16] + struct.pack("<I", 4) + data[20:])  # claims 4 records, holds 3
+    huge = tmp_path / "huge.gsim"
+    huge.write_bytes(struct.pack("<4sIIII", b"GSIM", 1, 65535, 65535, 2) + data[20:])
+    empty = tmp_path / "empty.gsim"
+    empty.write_bytes(struct.pack("<4sIIII", b"GSIM", 1, 65535, 65535, 0))
+    for path in (too_many, huge, empty):
+        with pytest.raises(PgmFormatError):
+            load_series(path)
 
 
 def test_curve_csv_round_trip(tmp_path):

@@ -8,10 +8,11 @@ from ghostsim import (
     MeasurementSeries,
     affine_mse,
     cnr,
-    oracle_covariance_image,
     pearson,
     quality_report,
 )
+
+from conftest import oracle_covariance_image
 
 
 def _noisy_pair(seed, shape=(16, 16)):

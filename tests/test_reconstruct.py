@@ -13,7 +13,6 @@ from ghostsim import (
     gi_reconstruct,
     igi_reconstruct,
     load_f64,
-    oracle_covariance_image,
     save_f64,
     save_recon_pgm,
     simulate,
@@ -22,7 +21,7 @@ from ghostsim import (
 from ghostsim.measurement import Scenario
 from ghostsim.speckle import SpeckleParams
 
-from conftest import assert_close_rel, synthetic_series
+from conftest import assert_close_rel, oracle_covariance_image, synthetic_series
 
 
 def _hand_series():
