@@ -36,9 +36,9 @@ from ghostsim import (
     per_step_noise_delta_bound,
     simulate,
 )
-from ghostsim.cli import _build_scenario, run_sweep
+from ghostsim.cli import run_sweep
 from ghostsim.presets import PRESET_NAMES, preset_config
-from ghostsim.config import parse_config_text
+from ghostsim.config import build_scenario, parse_config_text
 
 
 def _fmt(x: float) -> str:
@@ -141,7 +141,7 @@ def _preset_series(name: str, seed: int | None = None) -> MeasurementSeries:
     cfg = parse_config_text(json.dumps(preset_config(name)), path=f"<preset {name}>")
     if seed is not None:
         cfg["speckle"]["seed"] = seed
-    return simulate(*_build_scenario(cfg))
+    return simulate(*build_scenario(cfg))
 
 
 def clean_preset_across_seeds(seeds: int) -> dict:
@@ -232,7 +232,7 @@ def breakdown_sweep(tmp_dir: Path) -> dict:
         },
     }
     cfg = parse_config_text(json.dumps(base), path="<breakdown base>")
-    s0 = clean_bucket_series(_build_scenario(cfg)[0])
+    s0 = clean_bucket_series(build_scenario(cfg)[0])
     rms = float(np.sqrt(np.mean(np.diff(s0) ** 2)))
     targets = [0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0]
     csv_path = run_sweep(cfg, "noise-amplitude", [t * rms for t in targets], tmp_dir)

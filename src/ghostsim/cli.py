@@ -21,68 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import load_config, parse_config_text
+from .config import build_scenario, load_config, parse_config_text
 from .errors import ConfigurationError, ContractError, DegenerateInputError, GhostsimError, PgmFormatError
-from .measurement import MeasurementSeries, NoiseSpec, Scenario, column_curve, save_series, simulate, write_curve_csv
+from .measurement import MeasurementSeries, column_curve, save_series, simulate, write_curve_csv
 from .measurement import clean_bucket_series  # noqa: F401  unused here; perfbench/spans.py patches it by name
 from .metrics import pearson, quality_report
-from .noise import NoiseWaveform, SpatialNoiseMask
 from .presets import PRESET_NAMES, preset_config
 from .reconstruct import ValidityReport, gi_reconstruct, igi_reconstruct, save_f64, save_recon_pgm, validity_diagnostic
-from .scene import builtin_mask, load_mask, save_mask
+from .scene import builtin_mask, save_mask
 
 SWEEP_AXES = ("noise-amplitude", "noise-frequency", "N")
-
-
-def _build_mask(obj_cfg: dict, width: int, height: int) -> np.ndarray:
-    if "builtin" in obj_cfg:
-        return builtin_mask(obj_cfg["builtin"], width, height)
-    mask = load_mask(obj_cfg["pgm"])
-    if mask.shape != (height, width):
-        raise ConfigurationError(
-            f"object mask {obj_cfg['pgm']} is {mask.shape[1]}x{mask.shape[0]}, "
-            f"config wants {width}x{height}"
-        )
-    return mask
-
-
-def _build_scenario(cfg: dict) -> tuple[Scenario, float | None]:
-    """Turn a validated config into a Scenario and its amplitude_rel_std.
-
-    A relative amplitude is returned for simulate() to resolve from its frame
-    pass; the scenario's waveform carries amplitude 0 until then.
-    """
-    from .speckle import SpeckleParams
-
-    sp_cfg = cfg["speckle"]
-    speckle = SpeckleParams(
-        width=sp_cfg["width"], height=sp_cfg["height"], grain_radius=sp_cfg["grain_radius"],
-        mean_intensity=sp_cfg["mean_intensity"], seed=sp_cfg["seed"],
-    )
-    mask = _build_mask(cfg["object"], speckle.width, speckle.height)
-
-    nz = cfg["noise"]
-    waveform = NoiseWaveform(
-        kind=nz["kind"], amplitude=nz.get("amplitude", 0.0), frequency=nz["frequency"],
-        phase=nz["phase"], sample_rate=nz["sample_rate"], seed=nz["seed"],
-    )
-    spatial = None
-    if nz["spatial"] is not None:
-        region = nz["spatial"]["region"]
-        if region == "custom":
-            weights = load_mask(nz["spatial"]["pgm"])
-            if weights.shape != (speckle.height, speckle.width):
-                raise ConfigurationError(
-                    f"spatial weights {nz['spatial']['pgm']} do not match the speckle grid"
-                )
-            spatial = SpatialNoiseMask(region="custom", custom_weights=weights)
-        else:
-            spatial = SpatialNoiseMask(region=region)
-    scenario = Scenario(
-        speckle=speckle, object_mask=mask, count=cfg["count"],
-        noise=NoiseSpec(waveform=waveform, position=nz["position"], spatial=spatial),
-    )
-    return scenario, nz.get("amplitude_rel_std")
 
 
 @dataclass
@@ -100,17 +48,22 @@ def evaluate(cfg: dict) -> Evaluation:
     """Simulate a validated config in one frame pass and reconstruct it.
 
     The validity diagnostic is judged against the clean bucket S0 of that
-    same pass, whatever the injection position.
+    same pass, whatever the injection position. A non-finite GI or IGI
+    pixel is a DegenerateInputError.
     """
-    series = simulate(*_build_scenario(cfg))
+    series = simulate(*build_scenario(cfg))
     waveform = series.scenario.noise.waveform
     resolved = json.loads(json.dumps(cfg))  # deep copy, JSON types only
     if "amplitude_rel_std" in resolved["noise"]:
         resolved["noise"].pop("amplitude_rel_std")
         resolved["noise"]["amplitude"] = waveform.amplitude
     validity = validity_diagnostic(series.s0, waveform, coupling=series.scenario.bucket_coupling)
-    gi = gi_reconstruct(series)
-    igi = igi_reconstruct(series, normalization=cfg["output"]["igi_normalization"])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
+        gi = gi_reconstruct(series)
+        igi = igi_reconstruct(series, normalization=cfg["output"]["igi_normalization"])
+    for name, image in (("GI", gi), ("IGI", igi)):
+        if not np.isfinite(image).all():
+            raise DegenerateInputError(f"the {name} image has non-finite pixels; the measurement exceeds float64 range")
     return Evaluation(resolved, series, gi, igi, validity)
 
 
@@ -170,26 +123,36 @@ def _sweep_row(cfg: dict) -> list[float]:
     return [pearson(run.gi, truth), pearson(run.igi, truth), run.validity.ratio]
 
 
+def _row_config(cfg: dict, axis: str, value: float) -> dict:
+    """The base config with one axis value set, checked by the same constructors as a run."""
+    row_cfg = json.loads(json.dumps(cfg))
+    if axis == "noise-amplitude":
+        row_cfg["noise"].pop("amplitude_rel_std", None)
+        row_cfg["noise"]["amplitude"] = float(value)
+    elif axis == "noise-frequency":
+        row_cfg["noise"]["frequency"] = float(value)
+    else:  # N
+        if not float(value).is_integer():
+            raise ConfigurationError(f"N sweep values must be integers, got {value}")
+        row_cfg["count"] = int(value)
+    try:
+        build_scenario(row_cfg)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"sweep value {value!r}: {exc.field}: {exc}") from exc
+    return row_cfg
+
+
 def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
-    """Re-run the base config along one axis; one CSV row per value."""
+    """Re-run the base config along one axis; one CSV row per value, all values checked first."""
     if axis not in SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
+    rows = [(value, _row_config(cfg, axis, value)) for value in values]
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["value", "gi_pearson_r", "igi_pearson_r", "validity_ratio", "status"])
-        for value in values:
-            row_cfg = json.loads(json.dumps(cfg))
-            if axis == "noise-amplitude":
-                row_cfg["noise"].pop("amplitude_rel_std", None)
-                row_cfg["noise"]["amplitude"] = float(value)
-            elif axis == "noise-frequency":
-                row_cfg["noise"]["frequency"] = float(value)
-            else:  # N
-                if value != int(value) or int(value) < 2:
-                    raise ConfigurationError(f"N sweep values must be integers >= 2, got {value}")
-                row_cfg["count"] = int(value)
+        for value, row_cfg in rows:
             try:
                 writer.writerow([repr(float(value)), *map(repr, _sweep_row(row_cfg)), "ok"])
             except GhostsimError as exc:

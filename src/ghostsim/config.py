@@ -1,8 +1,8 @@
-"""Scenario configuration: JSON schema, validation, resolution.
+"""Scenario configuration: JSON schema, parsing, and the one path to a Scenario.
 
-Validation happens before any computation. Unknown keys are rejected at
-every level, and error messages carry <file>:<line> so a bad key can be
-found in the original text.
+parse_config_text checks JSON syntax, keys, types and defaults, then builds
+the scenario once through build_scenario, whose domain constructors check
+every range and name. Every error carries <file>:<line> of its JSON path.
 
 Schema (JSON object):
 
@@ -23,12 +23,14 @@ from __future__ import annotations
 import json
 import re
 import sys
+from contextlib import contextmanager
 
 from .errors import ConfigurationError
-from .measurement import POSITIONS
-from .noise import NOISE_KINDS, SPATIAL_REGIONS
+from .measurement import NoiseSpec, Scenario
+from .noise import NoiseWaveform, SpatialNoiseMask
 from .reconstruct import IGI_NORMALIZATIONS
-from .scene import BUILTIN_MASKS
+from .scene import builtin_mask, load_mask
+from .speckle import SpeckleParams
 
 _TOP_KEYS = {"speckle", "object", "count", "noise", "output"}
 _SPECKLE_KEYS = {"width", "height", "grain_radius", "mean_intensity", "seed"}
@@ -134,13 +136,9 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     for key in ("width", "height", "seed"):
         if not _is_int(out_sp[key]):
             raise src.fail(("speckle", key), f"speckle.{key} must be an integer")
-    if out_sp["width"] < 1 or out_sp["height"] < 1:
-        raise src.fail(("speckle", "width"), "speckle dimensions must be >= 1")
-    if out_sp["seed"] < 0:
-        raise src.fail(("speckle", "seed"), "speckle.seed must be >= 0")
     for key in ("grain_radius", "mean_intensity"):
-        if not _is_num(out_sp[key]) or not out_sp[key] > 0:
-            raise src.fail(("speckle", key), f"speckle.{key} must be a number > 0")
+        if not _is_num(out_sp[key]):
+            raise src.fail(("speckle", key), f"speckle.{key} must be a number")
         out_sp[key] = float(out_sp[key])
 
     obj = raw["object"]
@@ -149,20 +147,12 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     _check_keys(obj, _OBJECT_KEYS, ("object",), src)
     if len(obj) != 1:
         raise src.fail(("object",), 'object needs exactly one of "builtin" or "pgm"')
-    if "builtin" in obj and obj["builtin"] not in BUILTIN_MASKS:
-        raise src.fail(("object", "builtin"), f"unknown builtin mask {obj['builtin']!r}; choose from {BUILTIN_MASKS}")
-    if "builtin" in obj and min(out_sp["width"], out_sp["height"]) < 8:
-        raise src.fail(
-            ("object", "builtin"), f"builtin masks need a grid of at least 8x8, got {out_sp['width']}x{out_sp['height']}"
-        )
     if "pgm" in obj and not isinstance(obj["pgm"], str):
         raise src.fail(("object", "pgm"), "object.pgm must be a path string")
 
     count = raw["count"]
     if not _is_int(count):
         raise src.fail(("count",), "count must be an integer")
-    if count < 2:
-        raise src.fail(("count",), f"count must be >= 2, got {count}")
 
     noise = dict(_DEFAULT_NOISE)
     if "noise" in raw:
@@ -179,36 +169,26 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
                 raise src.fail(("noise", "spatial"), "noise.spatial must be an object")
             _check_keys(spt, _SPATIAL_KEYS, ("noise", "spatial"), src)
             region = spt.get("region")
-            if region not in SPATIAL_REGIONS:
-                raise src.fail(
-                    ("noise", "spatial", "region"), f"unknown spatial region {region!r}; choose from {SPATIAL_REGIONS}"
-                )
             if region == "custom" and "pgm" not in spt:
                 raise src.fail(("noise", "spatial", "region"), "custom spatial region requires a pgm weights path")
             if region != "custom" and "pgm" in spt:
                 raise src.fail(("noise", "spatial", "pgm"), "spatial.pgm only applies to the custom region")
+            if "pgm" in spt and not isinstance(spt["pgm"], str):
+                raise src.fail(("noise", "spatial", "pgm"), "noise.spatial.pgm must be a path string")
             noise["spatial"] = {"region": region, **({"pgm": spt["pgm"]} if "pgm" in spt else {})}
-    if noise["position"] not in POSITIONS:
-        raise src.fail(("noise", "position"), f"unknown position {noise['position']!r}; choose from {POSITIONS}")
-    if noise["kind"] not in NOISE_KINDS:
-        raise src.fail(("noise", "kind"), f"unknown noise kind {noise['kind']!r}; choose from {NOISE_KINDS}")
-    if noise["position"] == "C" and noise["spatial"] is None:
-        raise src.fail(("noise", "position"), "position C requires noise.spatial")
     for key in ("frequency", "phase", "sample_rate"):
         if not _is_num(noise[key]):
             raise src.fail(("noise", key), f"noise.{key} must be a number")
         noise[key] = float(noise[key])
-    if noise["sample_rate"] <= 0:
-        raise src.fail(("noise", "sample_rate"), "noise.sample_rate must be > 0")
-    if noise["kind"] == "sinusoid" and noise["frequency"] < 0:
-        raise src.fail(("noise", "frequency"), "noise.frequency of a sinusoid must be >= 0")
-    if not _is_int(noise["seed"]) or noise["seed"] < 0:
-        raise src.fail(("noise", "seed"), "noise.seed must be a non-negative integer")
+    if not _is_int(noise["seed"]):
+        raise src.fail(("noise", "seed"), "noise.seed must be an integer")
     amp_key = "amplitude_rel_std" if "amplitude_rel_std" in noise else "amplitude"
-    if not _is_num(noise[amp_key]) or noise[amp_key] < 0:
-        raise src.fail(("noise", amp_key), f"noise.{amp_key} must be a number >= 0")
+    if not _is_num(noise[amp_key]):
+        raise src.fail(("noise", amp_key), f"noise.{amp_key} must be a number")
     noise[amp_key] = float(noise[amp_key])
     if amp_key == "amplitude_rel_std":
+        if noise[amp_key] < 0:  # no constructor sees it before simulate() resolves it
+            raise src.fail(("noise", amp_key), "noise.amplitude_rel_std must be >= 0")
         noise.pop("amplitude", None)  # the relative form owns the amplitude
 
     output = dict(_DEFAULT_OUTPUT)
@@ -226,7 +206,55 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     if output["igi_normalization"] not in IGI_NORMALIZATIONS:
         raise src.fail(("output", "igi_normalization"), f"igi_normalization must be one of {IGI_NORMALIZATIONS}")
 
-    return {"speckle": out_sp, "object": dict(obj), "count": count, "noise": noise, "output": output}
+    cfg = {"speckle": out_sp, "object": dict(obj), "count": count, "noise": noise, "output": output}
+    try:
+        build_scenario(cfg)
+    except ConfigurationError as exc:
+        raise src.fail(tuple(exc.field.split(".")), f"{exc.field}: {exc}") from exc
+    return cfg
+
+
+# domain parameters whose config key has another name
+_CONFIG_KEY = {"object_mask": "object.pgm", "noise.spatial.custom_weights": "noise.spatial.pgm"}
+
+
+@contextmanager
+def _section(prefix: str):
+    """Give a domain ConfigurationError the config path of its field: prefix.field."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        path = ".".join(filter(None, (prefix, exc.field)))
+        raise ConfigurationError(str(exc), field=_CONFIG_KEY.get(path, path)) from exc
+
+
+def build_scenario(cfg: dict) -> tuple[Scenario, float | None]:
+    """The one path from a parsed config to a Scenario and its amplitude_rel_std, which simulate() resolves.
+
+    A ConfigurationError's field is the JSON path at fault, e.g. noise.spatial.region.
+    """
+    with _section("speckle"):
+        speckle = SpeckleParams(**cfg["speckle"])
+    obj, nz = cfg["object"], cfg["noise"]
+    if "builtin" in obj:
+        with _section("object.builtin"):
+            mask = builtin_mask(obj["builtin"], speckle.width, speckle.height)
+    else:
+        mask = load_mask(obj["pgm"])
+    with _section("noise"):
+        waveform = NoiseWaveform(
+            kind=nz["kind"], amplitude=nz.get("amplitude", 0.0), frequency=nz["frequency"],
+            phase=nz["phase"], sample_rate=nz["sample_rate"], seed=nz["seed"],
+        )
+        spatial = None
+        if nz["spatial"] is not None:
+            weights = load_mask(nz["spatial"]["pgm"]) if "pgm" in nz["spatial"] else None
+            with _section("spatial"):
+                spatial = SpatialNoiseMask(region=nz["spatial"]["region"], custom_weights=weights)
+        noise = NoiseSpec(waveform=waveform, position=nz["position"], spatial=spatial)
+    with _section(""):
+        scenario = Scenario(speckle=speckle, object_mask=mask, count=cfg["count"], noise=noise)
+    return scenario, nz.get("amplitude_rel_std")
 
 
 def load_config(path) -> dict:

@@ -11,7 +11,11 @@ class GhostsimError(Exception):
 
 
 class ConfigurationError(GhostsimError):
-    """Invalid parameter values: bad dimensions, unknown names, count < 2."""
+    """Invalid parameter values: bad dimensions, unknown names, count < 2. field names the parameter at fault."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class ContractError(GhostsimError):

@@ -33,7 +33,7 @@ POSITIONS = ("none", "A", "B", "C")
 
 _GSIM_MAGIC = b"GSIM"
 _GSIM_VERSION = 1
-_BLOCK = 2048  # records per block for .gsim writes and GI/IGI accumulation; ~64 MB of f64 frames at 64x64
+_BLOCK = 2048  # records per block at 64x64 and below: 64 MB of f64 frames
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ class NoiseSpec:
 
     def __post_init__(self) -> None:
         if self.position not in POSITIONS:
-            raise ConfigurationError(f"unknown injection position {self.position!r}; choose from {POSITIONS}")
+            raise ConfigurationError(f"unknown position {self.position!r}; choose from {POSITIONS}", field="position")
         if self.position == "C" and self.spatial is None:
-            raise ConfigurationError("position C requires a SpatialNoiseMask")
+            raise ConfigurationError("position C requires a SpatialNoiseMask", field="position")
 
 
 @dataclass
@@ -60,15 +60,17 @@ class Scenario:
 
     def __post_init__(self) -> None:
         mask = np.asarray(self.object_mask, dtype=np.float64)
-        if mask.shape != (self.speckle.height, self.speckle.width):
-            raise ConfigurationError(
-                f"object mask {mask.shape} does not match speckle grid "
-                f"{(self.speckle.height, self.speckle.width)}"
-            )
+        grid = (self.speckle.height, self.speckle.width)
+        if mask.shape != grid:
+            raise ConfigurationError(f"object mask {mask.shape} does not match speckle grid {grid}", field="object_mask")
         if mask.min() < 0.0 or mask.max() > 1.0:
-            raise ConfigurationError("object mask values must lie in [0, 1]")
+            raise ConfigurationError("object mask values must lie in [0, 1]", field="object_mask")
+        weights = getattr(self.noise.spatial, "custom_weights", None)  # set for the custom region only
+        if weights is not None and weights.shape != grid:
+            message = f"custom_weights {weights.shape} do not match speckle grid {grid}"
+            raise ConfigurationError(message, field="noise.spatial.custom_weights")
         if self.count < 2:
-            raise ConfigurationError(f"count must be >= 2, got {self.count}")
+            raise ConfigurationError(f"count must be >= 2, got {self.count}", field="count")
         self.object_mask = mask
 
     @property
@@ -124,6 +126,11 @@ class MeasurementSeries:
     @property
     def height(self) -> int:
         return self.frames.shape[1]
+
+    @property
+    def block(self) -> int:
+        """Records per .gsim write and GI/IGI step: _BLOCK, fewer above 64x64 to keep a block near 64 MB."""
+        return max(1, min(_BLOCK, _BLOCK * 4096 // (self.width * self.height)))
 
     def records(self) -> Iterator[MeasurementRecord]:
         for i in range(len(self.s)):
@@ -202,12 +209,13 @@ def _gsim_record(width: int, height: int) -> np.dtype:
 
 
 def save_series(series: MeasurementSeries, path) -> None:
-    """Binary container: GSIM header, then one _gsim_record per ordinal, written _BLOCK at a time."""
+    """Binary container: GSIM header, then one _gsim_record per ordinal, written series.block at a time."""
     record = _gsim_record(series.width, series.height)
     with open(path, "wb") as fh:
         fh.write(_GSIM_MAGIC + struct.pack("<IIII", _GSIM_VERSION, series.width, series.height, len(series)))
-        for a in range(0, len(series), _BLOCK):
-            np.rec.fromarrays([series.s[a : a + _BLOCK], series.frames[a : a + _BLOCK]], dtype=record).tofile(fh)
+        step = series.block
+        for a in range(0, len(series), step):
+            np.rec.fromarrays([series.s[a : a + step], series.frames[a : a + step]], dtype=record).tofile(fh)
 
 
 def load_series(path) -> MeasurementSeries:

@@ -32,15 +32,15 @@ class NoiseWaveform:
 
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
-            raise ConfigurationError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}")
+            raise ConfigurationError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}", field="kind")
         if self.amplitude < 0.0:
-            raise ConfigurationError("noise amplitude must be >= 0")
+            raise ConfigurationError("noise amplitude must be >= 0", field="amplitude")
         if self.sample_rate <= 0.0:
-            raise ConfigurationError("sample_rate must be > 0")
+            raise ConfigurationError("sample_rate must be > 0", field="sample_rate")
         if self.kind == "sinusoid" and self.frequency < 0.0:
-            raise ConfigurationError("sinusoid frequency must be >= 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be a non-negative integer")
+            raise ConfigurationError("sinusoid frequency must be >= 0", field="frequency")
+        if not 0 <= self.seed < 2**64:  # the Philox key word is 64 bits
+            raise ConfigurationError("seed must be an integer in [0, 2**64)", field="seed")
 
 
 def noise_value(waveform: NoiseWaveform, n: int) -> float:
@@ -89,18 +89,18 @@ class SpatialNoiseMask:
 
     def __post_init__(self) -> None:
         if self.region not in SPATIAL_REGIONS:
-            raise ConfigurationError(f"unknown spatial region {self.region!r}; choose from {SPATIAL_REGIONS}")
+            raise ConfigurationError(f"unknown region {self.region!r}; choose from {SPATIAL_REGIONS}", field="region")
         if self.region == "custom":
             if self.custom_weights is None:
-                raise ConfigurationError("custom spatial region requires custom_weights")
+                raise ConfigurationError("custom spatial region requires custom_weights", field="custom_weights")
             w = np.asarray(self.custom_weights, dtype=np.float64)
             if w.ndim != 2:
-                raise ConfigurationError("custom_weights must be 2-D")
+                raise ConfigurationError("custom_weights must be 2-D", field="custom_weights")
             if w.min() < 0.0 or w.max() > 1.0:
-                raise ConfigurationError("custom_weights values must lie in [0, 1]")
+                raise ConfigurationError("custom_weights values must lie in [0, 1]", field="custom_weights")
             self.custom_weights = w
         elif self.custom_weights is not None:
-            raise ConfigurationError("custom_weights only apply to the custom region")
+            raise ConfigurationError("custom_weights only apply to the custom region", field="custom_weights")
 
     def weights(self, width: int, height: int) -> np.ndarray:
         """Weight grid for the given frame size."""

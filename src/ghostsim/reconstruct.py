@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, PgmFormatError
-from .measurement import _BLOCK, MeasurementRecord, MeasurementSeries
+from .measurement import MeasurementRecord, MeasurementSeries
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
 
@@ -47,9 +47,9 @@ def gi_reconstruct(series: MeasurementSeries) -> np.ndarray:
     flat = series.frames.reshape(n, -1)
     ds = s - s.mean()
     mean_frame = flat.mean(axis=0, dtype=np.float64)
-    acc = np.zeros(flat.shape[1])
-    for a in range(0, n, _BLOCK):
-        b = min(a + _BLOCK, n)
+    acc, step = np.zeros(flat.shape[1]), series.block
+    for a in range(0, n, step):
+        b = min(a + step, n)
         # both factors centered before multiplying; DC offsets cancel here
         acc += ds[a:b] @ (flat[a:b] - mean_frame)
     return (acc / n).reshape(series.height, series.width)
@@ -61,9 +61,9 @@ def igi_reconstruct(series: MeasurementSeries, normalization: str = "unbiased") 
     divisor = _norm_divisor(normalization, n - 1)
     s = np.asarray(series.s, dtype=np.float64)
     flat = series.frames.reshape(n, -1)
-    acc = np.zeros(flat.shape[1])
-    for a in range(0, n - 1, _BLOCK):
-        b = min(a + _BLOCK, n - 1)
+    acc, step = np.zeros(flat.shape[1]), series.block
+    for a in range(0, n - 1, step):
+        b = min(a + step, n - 1)
         acc += (s[a + 1 : b + 1] - s[a:b]) @ (flat[a + 1 : b + 1].astype(np.float64) - flat[a:b])
     return (acc / divisor).reshape(series.height, series.width)
 

@@ -68,7 +68,7 @@ def builtin_mask(name: str, width: int, height: int) -> np.ndarray:
     if width < 8 or height < 8:
         raise ConfigurationError(f"mask grid must be at least 8x8, got {width}x{height}")
     makers = {"TH": _th, "double-slit": _double_slit, "disk": _disk, "checker": _checker}
-    if name not in makers:
+    if name not in BUILTIN_MASKS:  # a tuple: an unhashable name from JSON is just unknown
         raise ConfigurationError(f"unknown mask name {name!r}; choose from {BUILTIN_MASKS}")
     mask = makers[name](width, height)
     total = mask.sum()

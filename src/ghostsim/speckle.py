@@ -38,14 +38,14 @@ class SpeckleParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ConfigurationError("width and height must be >= 1")
-        if not (float(self.grain_radius) > 0.0):
-            raise ConfigurationError("grain_radius must be > 0")
-        if not (float(self.mean_intensity) > 0.0):
-            raise ConfigurationError("mean_intensity must be > 0")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be a non-negative integer")
+        for name in ("width", "height"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1", field=name)
+        for name in ("grain_radius", "mean_intensity"):
+            if not (float(getattr(self, name)) > 0.0):
+                raise ConfigurationError(f"{name} must be > 0", field=name)
+        if not 0 <= self.seed < 2**64:  # the Philox key word is 64 bits
+            raise ConfigurationError("seed must be an integer in [0, 2**64)", field="seed")
 
 
 def ordinal_rng(seed: int, tag: int, ordinal: int) -> Generator:

@@ -24,8 +24,8 @@ from ghostsim import (
     pearson,
     simulate,
 )
-from ghostsim.cli import _build_scenario, run_scenario, run_sweep
-from ghostsim.config import parse_config_text
+from ghostsim.cli import run_scenario, run_sweep
+from ghostsim.config import build_scenario, parse_config_text
 from ghostsim.presets import preset_config
 from ghostsim.speckle import SpeckleParams
 
@@ -59,7 +59,7 @@ def small_series_set():
 @pytest.fixture(scope="session")
 def clean_run():
     """The clean preset, simulated once and shared; build time is recorded."""
-    scenario, rel_std = _build_scenario(_parsed_preset("clean"))
+    scenario, rel_std = build_scenario(_parsed_preset("clean"))
     start = time.time()
     series = simulate(scenario, rel_std)
     return {"series": series, "scenario": scenario, "sim_seconds": time.time() - start}
@@ -182,7 +182,7 @@ def test_criterion_7_reference_noise_hits_gi_only(clean_run):
     gi_clean = pearson(gi_reconstruct(clean_series), _TRUTH)
     igi_clean = pearson(igi_reconstruct(clean_series), _TRUTH)
 
-    series = simulate(*_build_scenario(_parsed_preset("position-C-half")))
+    series = simulate(*build_scenario(_parsed_preset("position-C-half")))
     gi_noisy = pearson(gi_reconstruct(series), _TRUTH)
     igi_noisy = pearson(igi_reconstruct(series), _TRUTH)
 

@@ -132,6 +132,49 @@ def test_huge_count_exits_3_without_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_wrong_size_pgms_exit_2_with_line(tmp_path, capsys):
+    save_mask(np.ones((8, 8)), tmp_path / "m8.pgm")
+    object_pgm = '{\n  "speckle": {"width": 16, "height": 16},\n  "count": 5,\n  "object": {"pgm": "%s"}\n}'
+    spatial_pgm = (
+        '{\n  "speckle": {"width": 16, "height": 16},\n  "object": {"builtin": "disk"},\n  "count": 5,\n'
+        '  "noise": {"position": "C", "kind": "constant", "amplitude": 1.0,\n'
+        '    "spatial": {"region": "custom", "pgm": "%s"}}\n}'
+    )
+    for name, text, line, json_path in (
+        ("object.json", object_pgm, 4, "object.pgm"),
+        ("spatial.json", spatial_pgm, 6, "noise.spatial.pgm"),
+    ):
+        path = tmp_path / name
+        path.write_text(text % (tmp_path / "m8.pgm"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: {json_path}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_reconstruction_exits_3(tmp_path, capsys):
+    # a bucket offset of 1e308 overflows the bucket mean, so GI is NaN
+    cfg = _small_cfg(tmp_path, position="B", kind="constant", amplitude=1e308)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "GI image" in err[0]
+    assert not out.exists()
+    assert main(["sweep", str(cfg), "--axis", "noise-amplitude", "--values", "1,1e308", "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert rows[1].endswith(",ok") and "error: the GI image has non-finite pixels" in rows[2]
+
+
+def test_sweep_checks_every_value_before_writing(tmp_path):
+    cfg = _small_cfg(tmp_path)
+    assert main(["sweep", str(cfg), "--axis", "N", "--values", "10,10.5", "--out", str(tmp_path / "s")]) == 2
+    missing = tmp_path / "missing.json"
+    missing.write_text(
+        json.dumps({"speckle": {"width": 16, "height": 16}, "object": {"pgm": str(tmp_path / "absent.pgm")}, "count": 9})
+    )
+    assert main(["sweep", str(missing), "--axis", "N", "--values", "10", "--out", str(tmp_path / "s")]) == 4
+    assert not (tmp_path / "s").exists()
+
+
 def test_bad_cli_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "x.json", "--axis", "bogus", "--values", "1"])

@@ -178,3 +178,60 @@ def test_errors_are_attributed_by_json_path():
         parse_config_text(manifest, path="m.json")
     bad_line = next(i for i, line in enumerate(manifest.splitlines(), 1) if '"seed": -2' in line)
     assert str(err.value).startswith(f"m.json:{bad_line}:")
+
+
+_ALL_KEYS = """{
+  "speckle": {
+    "width": 16,
+    "height": 16,
+    "grain_radius": 2.0,
+    "mean_intensity": 1.0,
+    "seed": 0
+  },
+  "object": {
+    "builtin": "disk"
+  },
+  "count": 20,
+  "noise": {
+    "position": "B",
+    "kind": "sinusoid",
+    "amplitude": 1.0,
+    "frequency": 1.0,
+    "sample_rate": 25.0,
+    "seed": 0
+  }
+}"""
+
+
+@pytest.mark.parametrize(
+    "old, new, line, json_path",
+    [
+        ('"width": 16', '"width": 0', 3, "speckle.width"),
+        ('"height": 16', '"height": 0', 4, "speckle.height"),
+        ('"grain_radius": 2.0', '"grain_radius": 0', 5, "speckle.grain_radius"),
+        ('"mean_intensity": 1.0', '"mean_intensity": -1', 6, "speckle.mean_intensity"),
+        ('"seed": 0\n  },', '"seed": -1\n  },', 7, "speckle.seed"),
+        ('"seed": 0\n  },', '"seed": 18446744073709551616\n  },', 7, "speckle.seed"),  # 2**64: beyond the Philox key
+        ('"builtin": "disk"', '"builtin": "bogus"', 10, "object.builtin"),
+        ('"width": 16', '"width": 4', 10, "object.builtin"),  # builtin masks need 8x8
+        ('"count": 20', '"count": 1', 12, "count"),
+        ('"position": "B"', '"position": "Z"', 14, "noise.position"),
+        ('"position": "B"', '"position": "C"', 14, "noise.position"),  # C needs noise.spatial
+        ('"kind": "sinusoid"', '"kind": "bogus"', 15, "noise.kind"),
+        ('"amplitude": 1.0', '"amplitude": -1', 16, "noise.amplitude"),
+        ('"frequency": 1.0', '"frequency": -1', 17, "noise.frequency"),
+        ('"sample_rate": 25.0', '"sample_rate": 0', 18, "noise.sample_rate"),
+        ('"seed": 0\n  }\n}', '"seed": -1\n  }\n}', 19, "noise.seed"),
+        ('"seed": 0\n  }\n}', '"seed": 0,\n    "spatial": {"region": "bogus"}\n  }\n}', 20, "noise.spatial.region"),
+    ],
+    ids=[
+        "width", "height", "grain_radius", "mean_intensity", "speckle-seed", "speckle-seed-2**64", "builtin-name",
+        "builtin-grid", "count", "position-name", "position-C-without-spatial", "kind", "amplitude", "frequency",
+        "sample_rate", "noise-seed", "spatial-region",
+    ],
+)
+def test_range_and_name_errors_carry_line_and_json_path(old, new, line, json_path):
+    assert _ALL_KEYS.count(old) == 1
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text(_ALL_KEYS.replace(old, new), path="x.json")
+    assert str(err.value).startswith(f"x.json:{line}: {json_path}: ")

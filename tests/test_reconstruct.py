@@ -13,8 +13,10 @@ from ghostsim import (
     gi_reconstruct,
     igi_reconstruct,
     load_f64,
+    load_series,
     save_f64,
     save_recon_pgm,
+    save_series,
     simulate,
     validity_diagnostic,
 )
@@ -51,6 +53,20 @@ def test_gi_blocked_accumulation_spans_block_boundary():
     # more records than one accumulation block
     series = synthetic_series(9, count=2100, width=3, height=2)
     assert_close_rel(gi_reconstruct(series), oracle_covariance_image(series), 1e-9)
+
+
+def test_blocks_are_bounded_in_bytes_above_64x64(tmp_path):
+    # 128x128 holds 512 records per block, so 600 records span two blocks
+    series = synthetic_series(11, count=600, width=128, height=128)
+    assert series.block == 512
+    flat = series.frames.reshape(600, -1)
+    gi = (series.s - series.s.mean()) @ (flat - flat.mean(axis=0)) / 600
+    igi = np.diff(series.s) @ np.diff(flat, axis=0) / (2 * 599)
+    assert_close_rel(gi_reconstruct(series), gi.reshape(128, 128), 1e-12)
+    assert_close_rel(igi_reconstruct(series), igi.reshape(128, 128), 1e-12)
+    save_series(series, tmp_path / "s.gsim")
+    back = load_series(tmp_path / "s.gsim")
+    assert np.array_equal(back.s, series.s) and np.array_equal(back.frames, series.frames.astype(np.float32))
 
 
 def test_streaming_equals_batch():
