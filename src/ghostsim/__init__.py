@@ -10,6 +10,8 @@ consecutive-difference streaming form (IGI).
 
 __version__ = "0.1.0"
 
+import types as _types
+
 from .errors import (
     ConfigurationError,
     ContractError,
@@ -42,11 +44,14 @@ from .noise import (
 )
 from .reconstruct import (
     IGI_NORMALIZATIONS,
+    BlockCorrelator,
+    BlockRun,
     IgiAccumulator,
     ValidityReport,
     gi_reconstruct,
     igi_reconstruct,
     load_f64,
+    run_blocks,
     save_f64,
     save_recon_pgm,
     validity_diagnostic,
@@ -54,50 +59,8 @@ from .reconstruct import (
 from .scene import BUILTIN_MASKS, bucket_signal, builtin_mask, load_mask, save_mask
 from .speckle import SpeckleParams, generate_frame
 
-__all__ = [
-    "ConfigurationError",
-    "ContractError",
-    "DegenerateInputError",
-    "GhostsimError",
-    "PgmFormatError",
-    "POSITIONS",
-    "MeasurementRecord",
-    "MeasurementSeries",
-    "NoiseSpec",
-    "Scenario",
-    "clean_bucket_series",
-    "column_curve",
-    "load_series",
-    "save_series",
-    "simulate",
-    "simulate_stream",
-    "write_curve_csv",
-    "QualityReport",
-    "affine_mse",
-    "cnr",
-    "pearson",
-    "quality_report",
-    "NOISE_KINDS",
-    "SPATIAL_REGIONS",
-    "NoiseWaveform",
-    "SpatialNoiseMask",
-    "noise_value",
-    "per_step_noise_delta_bound",
-    "IGI_NORMALIZATIONS",
-    "IgiAccumulator",
-    "ValidityReport",
-    "gi_reconstruct",
-    "igi_reconstruct",
-    "load_f64",
-    "save_f64",
-    "save_recon_pgm",
-    "validity_diagnostic",
-    "BUILTIN_MASKS",
-    "builtin_mask",
-    "bucket_signal",
-    "load_mask",
-    "save_mask",
-    "SpeckleParams",
-    "generate_frame",
-    "__version__",
+# the public API is every name imported above; submodules are not part of it
+__all__ = ["__version__"] + [
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
 ]

@@ -15,56 +15,47 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .config import build_scenario, load_config, parse_config_text
-from .errors import ConfigurationError, ContractError, DegenerateInputError, GhostsimError, PgmFormatError
-from .measurement import MeasurementSeries, column_curve, save_series, simulate, write_curve_csv
-from .measurement import clean_bucket_series  # noqa: F401  unused here; perfbench/spans.py patches it by name
+from .errors import ConfigurationError, DegenerateInputError, GhostsimError, PgmFormatError
+from .measurement import write_curve_csv
+# unused here; perfbench/spans.py patches these names in this module
+from .measurement import clean_bucket_series, column_curve, save_series, simulate  # noqa: F401
 from .metrics import pearson, quality_report
 from .presets import PRESET_NAMES, preset_config
-from .reconstruct import ValidityReport, gi_reconstruct, igi_reconstruct, save_f64, save_recon_pgm, validity_diagnostic
+from .reconstruct import BlockRun, ValidityReport, run_blocks, save_f64, save_recon_pgm, validity_diagnostic
+from .reconstruct import gi_reconstruct, igi_reconstruct  # noqa: F401  patched by name, as above
 from .scene import builtin_mask, save_mask
 
 SWEEP_AXES = ("noise-amplitude", "noise-frequency", "N")
 
 
-@dataclass
-class Evaluation:
-    """One run of a config; series.scenario and series.s0 hold the resolved scenario and S0."""
+def evaluate(cfg: dict, out_dir: Path | None = None) -> tuple[BlockRun, dict, ValidityReport]:
+    """Run a validated config through run_blocks: the run, the resolved config and its validity report.
 
-    resolved: dict
-    series: MeasurementSeries
-    gi: np.ndarray
-    igi: np.ndarray
-    validity: ValidityReport
-
-
-def evaluate(cfg: dict) -> Evaluation:
-    """Simulate a validated config in one frame pass and reconstruct it.
-
-    The validity diagnostic is judged against the clean bucket S0 of that
-    same pass, whatever the injection position. A non-finite GI or IGI
-    pixel is a DegenerateInputError.
+    With out_dir, emit_curves keeps the quarter and three-quarter column curves and emit_frames writes
+    out_dir/series.gsim. Validity is judged against the clean bucket S0 of the same pass, whatever the
+    position. A non-finite GI or IGI pixel is a DegenerateInputError.
     """
-    series = simulate(*build_scenario(cfg))
-    waveform = series.scenario.noise.waveform
+    output, width = cfg["output"], cfg["speckle"]["width"]
+    columns = (width // 4, (3 * width) // 4) if out_dir and output["emit_curves"] else ()
+    gsim = out_dir / "series.gsim" if out_dir and output["emit_frames"] else None
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
+        run = run_blocks(*build_scenario(cfg), output["igi_normalization"], columns, gsim)
+    waveform = run.scenario.noise.waveform
     resolved = json.loads(json.dumps(cfg))  # deep copy, JSON types only
     if "amplitude_rel_std" in resolved["noise"]:
         resolved["noise"].pop("amplitude_rel_std")
         resolved["noise"]["amplitude"] = waveform.amplitude
-    validity = validity_diagnostic(series.s0, waveform, coupling=series.scenario.bucket_coupling)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
-        gi = gi_reconstruct(series)
-        igi = igi_reconstruct(series, normalization=cfg["output"]["igi_normalization"])
-    for name, image in (("GI", gi), ("IGI", igi)):
+    validity = validity_diagnostic(run.s0, waveform, coupling=run.scenario.bucket_coupling)
+    for name, image in (("GI", run.gi), ("IGI", run.igi)):
         if not np.isfinite(image).all():
             raise DegenerateInputError(f"the {name} image has non-finite pixels; the measurement exceeds float64 range")
-    return Evaluation(resolved, series, gi, igi, validity)
+    return run, resolved, validity
 
 
 def _write_json(obj, path: Path) -> None:
@@ -73,10 +64,8 @@ def _write_json(obj, path: Path) -> None:
 
 def run_scenario(cfg: dict, out_dir: Path) -> dict:
     """Simulate, reconstruct, measure, and write the full artifact set."""
-    run = evaluate(cfg)
-    series = run.series
-    scenario = series.scenario
-    truth = scenario.object_mask
+    run, embedded, validity = evaluate(cfg, out_dir)
+    truth = run.scenario.object_mask
     report_gi = quality_report(run.gi, truth)
     report_igi = quality_report(run.igi, truth)
 
@@ -87,40 +76,34 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
     save_recon_pgm(run.igi, out_dir / "igi.pgm")
     _write_json(report_gi.to_dict(), out_dir / "metrics_gi.json")
     _write_json(report_igi.to_dict(), out_dir / "metrics_igi.json")
-    _write_json(run.validity.to_dict(), out_dir / "validity.json")
-    write_curve_csv(series.s, out_dir / "bucket_curve.csv")
-    if cfg["output"]["emit_curves"]:
-        # slit-plane style curves at the quarter and three-quarter columns
-        width = scenario.speckle.width
-        write_curve_csv(column_curve(series, width // 4), out_dir / "column_curve_left.csv")
-        write_curve_csv(column_curve(series, (3 * width) // 4), out_dir / "column_curve_right.csv")
-    if cfg["output"]["emit_frames"]:
-        save_series(series, out_dir / "series.gsim")
+    _write_json(validity.to_dict(), out_dir / "validity.json")
+    write_curve_csv(run.s, out_dir / "bucket_curve.csv")
+    for curve, side in zip(run.curves, ("left", "right")):  # slit-plane style curves
+        write_curve_csv(curve, out_dir / f"column_curve_{side}.csv")
 
-    embedded = run.resolved
     embedded["output"] = {k: v for k, v in embedded["output"].items() if k != "dir"}
     manifest = {
         "format": "ghostsim-manifest",
         "version": 1,
         "tool": {"name": "ghostsim", "version": __version__},
         "config": embedded,
-        "scenario_digest": scenario.digest(),
-        "clean_bucket_std": float(series.s0.std()),
+        "scenario_digest": run.scenario.digest(),
+        "clean_bucket_std": float(run.s0.std()),
     }
     _write_json(manifest, out_dir / "manifest.json")
     return {
         "out": str(out_dir),
         "gi_pearson_r": report_gi.pearson_r,
         "igi_pearson_r": report_igi.pearson_r,
-        "validity_flag": run.validity.flag,
+        "validity_flag": validity.flag,
     }
 
 
 def _sweep_row(cfg: dict) -> list[float]:
-    """GI and IGI pearson r and the validity ratio; the row's frames are freed on return."""
-    run = evaluate(cfg)
-    truth = run.series.scenario.object_mask
-    return [pearson(run.gi, truth), pearson(run.igi, truth), run.validity.ratio]
+    """GI and IGI pearson r and the validity ratio."""
+    run, _, validity = evaluate(cfg)
+    truth = run.scenario.object_mask
+    return [pearson(run.gi, truth), pearson(run.igi, truth), validity.ratio]
 
 
 def _row_config(cfg: dict, axis: str, value: float) -> dict:
@@ -158,10 +141,6 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
             except GhostsimError as exc:
                 writer.writerow([repr(float(value)), "", "", "", f"error: {exc}"])
     return csv_path
-
-
-def export_mask(name: str, out_path: Path, width: int, height: int) -> None:
-    save_mask(builtin_mask(name, width, height), out_path)
 
 
 def _parse_values(text: str) -> list[float]:
@@ -204,17 +183,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            cfg = load_config(args.config)
-            out = Path(args.out) if args.out else Path(cfg["output"]["dir"])
-            summary = run_scenario(cfg, out)
-            print(
-                f"wrote {summary['out']}: gi pearson_r={summary['gi_pearson_r']:.4f} "
-                f"igi pearson_r={summary['igi_pearson_r']:.4f} validity={summary['validity_flag']}"
-            )
-        elif args.command == "preset":
-            cfg = parse_config_text(json.dumps(preset_config(args.name)), path=f"<preset {args.name}>")
-            out = Path(args.out) if args.out else Path(f"out-{args.name}")
+        if args.command in ("run", "preset"):
+            if args.command == "run":
+                cfg = load_config(args.config)
+                out = Path(args.out or cfg["output"]["dir"])
+            else:
+                cfg = parse_config_text(json.dumps(preset_config(args.name)), path=f"<preset {args.name}>")
+                out = Path(args.out or f"out-{args.name}")
             summary = run_scenario(cfg, out)
             print(
                 f"wrote {summary['out']}: gi pearson_r={summary['gi_pearson_r']:.4f} "
@@ -226,17 +201,13 @@ def main(argv=None) -> int:
             csv_path = run_sweep(cfg, args.axis, _parse_values(args.values), out)
             print(f"wrote {csv_path}")
         else:  # export-mask
-            export_mask(args.name, Path(args.out), args.width, args.height)
+            save_mask(builtin_mask(args.name, args.width, args.height), Path(args.out))
             print(f"wrote {args.out}")
-    except ConfigurationError as exc:
+    except (GhostsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ContractError, DegenerateInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (PgmFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, ConfigurationError):
+            return 2
+        return 4 if isinstance(exc, (PgmFormatError, OSError)) else 3  # contract and degenerate input: 3
     return 0
 
 

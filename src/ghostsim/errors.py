@@ -4,6 +4,7 @@ The CLI maps these onto process exit codes: configuration errors exit 2,
 contract violations exit 3, file format problems exit 4 (plain OSError,
 e.g. a missing file, also exits 4).
 """
+from contextlib import contextmanager
 
 
 class GhostsimError(Exception):
@@ -28,3 +29,12 @@ class DegenerateInputError(GhostsimError):
 
 class PgmFormatError(GhostsimError):
     """Malformed or truncated PGM / binary container data."""
+
+
+@contextmanager
+def memory_guard(what: str, nbytes: float):
+    """Turn a MemoryError raised inside the block into a ContractError that names what needed how many GB."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ContractError(f"{what} needs {nbytes * 1e-9:.3g} GB; it does not fit in memory") from exc

@@ -7,12 +7,11 @@ Injection positions (clean frame F_n, clean bucket S0_n = sum F_n*T):
   B     S_n = S0_n + Q_n,                    I_n = F_n      (noise straight onto the bucket)
   C     S_n = S0_n,                          I_n = F_n + Q_n * weights(x)
 
-Each frame is generated once: S0_n is summed from the clean frame, then one
-position switch (_injector) adds Q_n = noise_value(waveform, n). simulate()
-materializes everything and keeps S0, so an amplitude relative to std(S0)
-resolves from the same pass; simulate_stream() yields one record at a time at
-O(width*height) memory. Both are pure functions of the scenario, so any
-record can be recomputed independently and runs replay bit-identically.
+clean_blocks makes each frame once, in ordinal blocks of about 8 MB, and sums
+S0_n from it; one position switch (_injector) then adds Q_n. run_blocks (in
+reconstruct) holds one block at a time; simulate() keeps every frame and S0;
+simulate_stream() yields one record at a time. All are pure functions of
+the scenario, so any record can be recomputed and runs replay bit-identically.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, PgmFormatError
+from .errors import ConfigurationError, ContractError, PgmFormatError, memory_guard
 from .noise import NoiseWaveform, SpatialNoiseMask, noise_value
 from .scene import bucket_signal
 from .speckle import SpeckleParams, generate_frame
@@ -33,7 +32,7 @@ POSITIONS = ("none", "A", "B", "C")
 
 _GSIM_MAGIC = b"GSIM"
 _GSIM_VERSION = 1
-_BLOCK = 2048  # records per block at 64x64 and below: 64 MB of f64 frames
+_BLOCK = 256  # records per block at 64x64 and below: 8 MB of f64 frames
 
 
 @dataclass(frozen=True)
@@ -129,8 +128,8 @@ class MeasurementSeries:
 
     @property
     def block(self) -> int:
-        """Records per .gsim write and GI/IGI step: _BLOCK, fewer above 64x64 to keep a block near 64 MB."""
-        return max(1, min(_BLOCK, _BLOCK * 4096 // (self.width * self.height)))
+        """Records per .gsim write and GI/IGI step."""
+        return block_records(self.width, self.height)
 
     def records(self) -> Iterator[MeasurementRecord]:
         for i in range(len(self.s)):
@@ -143,7 +142,9 @@ def _injector(scenario: Scenario):
     waveform = scenario.noise.waveform
     coupling = scenario.bucket_coupling
     if position == "C":
-        weights = scenario.noise.spatial.weights(scenario.speckle.width, scenario.speckle.height)
+        width, height = scenario.speckle.width, scenario.speckle.height
+        with memory_guard(f"a {width}x{height} weight grid", width * height * 8):
+            weights = scenario.noise.spatial.weights(width, height)
 
     def inject(n: int, s0: float, frame: np.ndarray) -> float:
         if position == "none":
@@ -157,26 +158,45 @@ def _injector(scenario: Scenario):
     return inject
 
 
+def block_records(width: int, height: int) -> int:
+    """Records per block: _BLOCK, fewer above 64x64 to keep a block of f64 frames near 8 MB."""
+    return max(1, min(_BLOCK, _BLOCK * 4096 // (width * height)))
+
+
+def clean_blocks(scenario: Scenario, s0: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, frames) per block of clean float64 frames, in ordinal order, in one reused buffer; set s0[start:]."""
+    sp, n = scenario.speckle, scenario.count
+    step = block_records(sp.width, sp.height)
+    buffer = np.empty((min(step, n), sp.height, sp.width))
+    for a in range(0, n, step):
+        frames = buffer[: min(step, n - a)]
+        for i, frame in enumerate(frames):
+            frame[...] = generate_frame(sp, a + i + 1)
+            s0[a + i] = bucket_signal(frame, scenario.object_mask)
+        yield a, frames
+
+
+def resolve_amplitude(scenario: Scenario, s0: np.ndarray, amplitude_rel_std: float) -> Scenario:
+    """The scenario with its waveform amplitude set to amplitude_rel_std * std(S0)."""
+    sigma = float(s0.std())
+    if sigma == 0.0:
+        raise ConfigurationError("clean bucket series is constant; amplitude_rel_std cannot be resolved")
+    waveform = replace(scenario.noise.waveform, amplitude=float(amplitude_rel_std) * sigma)
+    return replace(scenario, noise=replace(scenario.noise, waveform=waveform))
+
+
 def simulate(scenario: Scenario, amplitude_rel_std: float | None = None) -> MeasurementSeries:
     """Run the full scenario into memory, generating each frame once.
 
     amplitude_rel_std sets the waveform amplitude to that multiple of std(S0).
     """
     sp, n = scenario.speckle, scenario.count
-    try:
+    with memory_guard(f"count {n} at {sp.width}x{sp.height}", n * (sp.width * sp.height + 2) * 8):  # frames, S0, S
         s0, frames = np.empty(n), np.empty((n, sp.height, sp.width))
-    except MemoryError as exc:
-        gb = n * (sp.width * sp.height + 2) * 8e-9  # frames, S0 and S in float64
-        raise ContractError(f"count {n} at {sp.width}x{sp.height} needs {gb:.3g} GB; it does not fit in memory") from exc
-    for i in range(n):
-        frames[i] = generate_frame(sp, i + 1)
-        s0[i] = bucket_signal(frames[i], scenario.object_mask)
+    for a, block in clean_blocks(scenario, s0):
+        frames[a : a + len(block)] = block
     if amplitude_rel_std is not None:
-        sigma = float(s0.std())
-        if sigma == 0.0:
-            raise ConfigurationError("clean bucket series is constant; amplitude_rel_std cannot be resolved")
-        waveform = replace(scenario.noise.waveform, amplitude=float(amplitude_rel_std) * sigma)
-        scenario = replace(scenario, noise=replace(scenario.noise, waveform=waveform))
+        scenario = resolve_amplitude(scenario, s0, amplitude_rel_std)
     inject = _injector(scenario)
     s = np.array([inject(i + 1, s0[i], frames[i]) for i in range(n)], dtype=np.float64)
     return MeasurementSeries(s=s, frames=frames, s0=s0, scenario=scenario)
@@ -208,14 +228,31 @@ def _gsim_record(width: int, height: int) -> np.dtype:
     return np.dtype([("s", "<f8"), ("frame", "<f4", (height, width))])
 
 
+def write_gsim_header(fh, width: int, height: int, count: int) -> None:
+    fh.write(_GSIM_MAGIC + struct.pack("<IIII", _GSIM_VERSION, width, height, count))
+
+
+def write_gsim_records(fh, s: np.ndarray, frames: np.ndarray) -> None:
+    """Append one _gsim_record per (s, frame) pair."""
+    np.rec.fromarrays([s, frames], dtype=_gsim_record(frames.shape[2], frames.shape[1])).tofile(fh)
+
+
+def patch_gsim_buckets(path, s: np.ndarray, width: int, height: int) -> None:
+    """Overwrite the s field of every record of a written container in place; the frames are not read."""
+    size = _gsim_record(width, height).itemsize
+    with open(path, "r+b") as fh:
+        for i, value in enumerate(s):
+            fh.seek(20 + i * size)
+            fh.write(struct.pack("<d", value))
+
+
 def save_series(series: MeasurementSeries, path) -> None:
     """Binary container: GSIM header, then one _gsim_record per ordinal, written series.block at a time."""
-    record = _gsim_record(series.width, series.height)
     with open(path, "wb") as fh:
-        fh.write(_GSIM_MAGIC + struct.pack("<IIII", _GSIM_VERSION, series.width, series.height, len(series)))
+        write_gsim_header(fh, series.width, series.height, len(series))
         step = series.block
         for a in range(0, len(series), step):
-            np.rec.fromarrays([series.s[a : a + step], series.frames[a : a + step]], dtype=record).tofile(fh)
+            write_gsim_records(fh, series.s[a : a + step], series.frames[a : a + step])
 
 
 def load_series(path) -> MeasurementSeries:

@@ -33,6 +33,9 @@ class NoiseWaveform:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ConfigurationError(f"unknown noise kind {self.kind!r}; choose from {NOISE_KINDS}", field="kind")
+        for name in ("amplitude", "frequency", "phase", "sample_rate"):
+            if not math.isfinite(getattr(self, name)):  # nan < 0.0 is False: NaN passes every range check below
+                raise ConfigurationError(f"{name} must be a finite number", field=name)
         if self.amplitude < 0.0:
             raise ConfigurationError("noise amplitude must be >= 0", field="amplitude")
         if self.sample_rate <= 0.0:

@@ -4,25 +4,30 @@ gi_reconstruct is the classical mean-subtracted correlation
 
     G(x) = (1/N) sum_n [S_n - <S>] [I_n(x) - <I(x)>]
 
-computed in two passes so that large DC offsets on either side cancel before
-any product is formed. igi_reconstruct correlates consecutive differences
+accumulated as centered co-moments, block by block, so that large DC offsets
+on either side cancel before any product is formed. igi_reconstruct
+correlates consecutive differences
 
     G_igi(x) = (1/(2(N-1))) sum_{n=1..N-1} [S_{n+1}-S_n] [I_{n+1}(x)-I_n(x)]
 
 and needs no running means, which is what makes it streamable and immune to
 slow additive drift. The "paper-literal" normalization divides by 2N instead
-of 2(N-1). All accumulation is float64 regardless of frame dtype.
+of 2(N-1). All accumulation is float64 regardless of frame dtype, in one
+kernel, BlockCorrelator, whatever the source of the frames.
 """
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, PgmFormatError
-from .measurement import MeasurementRecord, MeasurementSeries
+from .errors import ContractError, DegenerateInputError, PgmFormatError, memory_guard
+from .measurement import MeasurementRecord, MeasurementSeries, NoiseSpec, Scenario, _injector, clean_blocks
+from .measurement import patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
 
@@ -40,40 +45,130 @@ def _norm_divisor(normalization: str, pairs: int) -> float:
     raise ContractError(f"unknown normalization {normalization!r}; choose from {IGI_NORMALIZATIONS}")
 
 
+class BlockCorrelator:
+    """GI co-moments and IGI difference sums of K bucket rows against frames fed a block at a time, in ordinal order.
+
+    GI merges each block's centered co-moment as C = C_a + C_b + (n_a n_b / n)(s_a - s_b)(I_a - I_b)
+    over the block means (Chan, Golub & LeVeque 1979; Pebay 2008). IGI pairs the last record of a
+    block with the first of the next. Both are linear in the rows: weights combine them at the end.
+    """
+
+    def __init__(self, rows: int, pixels: int, gi: bool = True, igi: bool = True):
+        self.n, self.gi_on, self.igi_on = 0, gi, igi
+        self.mean_s, self.mean_f = np.zeros(rows), np.zeros(pixels)
+        self.comoment, self.diffsum = np.zeros((rows, pixels)), np.zeros((rows, pixels))
+        self.last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def push(self, rows: np.ndarray, frames: np.ndarray) -> None:
+        """rows (K, B) float64 bucket values of the B frames (B, height, width), any float dtype."""
+        m, n = len(frames), self.n + len(frames)
+        flat = frames.reshape(m, -1)
+        if self.gi_on:
+            mean_s, mean_f = rows.mean(axis=1), flat.mean(axis=0, dtype=np.float64)
+            self.comoment += (rows - mean_s[:, None]) @ (flat - mean_f)  # centered before multiplying
+            ds, df = mean_s - self.mean_s, mean_f - self.mean_f
+            self.comoment += np.outer(ds, df * (self.n * m / n))
+            self.mean_s += ds * (m / n)
+            self.mean_f += df * (m / n)
+        if self.igi_on:
+            if self.last is not None:
+                self.diffsum += np.outer(rows[:, 0] - self.last[0], flat[0] - self.last[1])
+            if m > 1:
+                self.diffsum += np.diff(rows, axis=1) @ np.subtract(flat[1:], flat[:-1], dtype=np.float64)
+            self.last = (rows[:, -1].copy(), flat[-1].astype(np.float64))
+        self.n = n
+
+    def gi(self, shape: tuple, weights=(1.0,)) -> np.ndarray:
+        return (np.asarray(weights) @ self.comoment / self.n).reshape(shape)
+
+    def igi(self, shape: tuple, weights=(1.0,), normalization: str = "unbiased") -> np.ndarray:
+        return (np.asarray(weights) @ self.diffsum / _norm_divisor(normalization, self.n - 1)).reshape(shape)
+
+
+def _correlate(series: MeasurementSeries, gi: bool, igi: bool) -> BlockCorrelator:
+    corr = BlockCorrelator(1, series.width * series.height, gi=gi, igi=igi)
+    s, step = np.asarray(series.s, dtype=np.float64), series.block
+    for a in range(0, len(series), step):
+        corr.push(s[None, a : a + step], series.frames[a : a + step])
+    return corr
+
+
 def gi_reconstruct(series: MeasurementSeries) -> np.ndarray:
     """Mean-subtracted correlation image, float64 (height, width)."""
-    n = len(series)
-    s = np.asarray(series.s, dtype=np.float64)
-    flat = series.frames.reshape(n, -1)
-    ds = s - s.mean()
-    mean_frame = flat.mean(axis=0, dtype=np.float64)
-    acc, step = np.zeros(flat.shape[1]), series.block
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        # both factors centered before multiplying; DC offsets cancel here
-        acc += ds[a:b] @ (flat[a:b] - mean_frame)
-    return (acc / n).reshape(series.height, series.width)
+    return _correlate(series, gi=True, igi=False).gi((series.height, series.width))
 
 
 def igi_reconstruct(series: MeasurementSeries, normalization: str = "unbiased") -> np.ndarray:
     """Consecutive-difference correlation image, float64 (height, width)."""
-    n = len(series)
-    divisor = _norm_divisor(normalization, n - 1)
-    s = np.asarray(series.s, dtype=np.float64)
-    flat = series.frames.reshape(n, -1)
-    acc, step = np.zeros(flat.shape[1]), series.block
-    for a in range(0, n - 1, step):
-        b = min(a + step, n - 1)
-        acc += (s[a + 1 : b + 1] - s[a:b]) @ (flat[a + 1 : b + 1].astype(np.float64) - flat[a:b])
-    return (acc / divisor).reshape(series.height, series.width)
+    return _correlate(series, gi=False, igi=True).igi((series.height, series.width), normalization=normalization)
+
+
+@dataclass
+class BlockRun:
+    """A scenario generated and reconstructed one block at a time."""
+
+    scenario: Scenario   # what was simulated, amplitude resolved
+    s0: np.ndarray       # clean bucket S0_n
+    s: np.ndarray        # bucket S_n, as simulate() gives it
+    gi: np.ndarray
+    igi: np.ndarray
+    curves: np.ndarray   # (len(columns), N): per record, the sum of each requested frame column
+
+
+def run_blocks(scenario: Scenario, amplitude_rel_std: float | None = None, normalization: str = "unbiased",
+               columns: tuple = (), gsim: Path | None = None) -> BlockRun:
+    """Generate and reconstruct a scenario in clean_blocks, in O(N + block * width * height) memory.
+
+    gsim gets the .gsim records as each block finishes. At A/B a sinusoid or gaussian_white bucket is
+    S = S0 + A*u, u_n the unit-amplitude Q_n * coupling: rows S0 and u are correlated side by side and
+    combined as G0 + A*G1, so A = amplitude_rel_std * std(S0) needs no second pass, and a run and the
+    rerun of its resolved manifest take the same arithmetic. Other cases correlate S; where S depends on
+    a relative amplitude (position C, constant, poisson), an S0-only first pass resolves it. S comes
+    from _injector, bit-identical to simulate()'s.
+    """
+    noise, kind = scenario.noise, scenario.noise.waveform.kind
+    split = noise.position in ("A", "B") and kind in ("sinusoid", "gaussian_white")
+    if amplitude_rel_std is not None and not split and noise.position != "none" and kind != "off":
+        s0 = run_blocks(replace(scenario, noise=NoiseSpec())).s0
+        return run_blocks(resolve_amplitude(scenario, s0, amplitude_rel_std), None, normalization, columns, gsim)
+    sp, n = scenario.speckle, scenario.count
+    with memory_guard(f"count {n}", n * (2 + len(columns)) * 8):
+        s0, s, curves = np.empty(n), np.empty(n), np.empty((len(columns), n))
+    unit = replace(noise, waveform=replace(noise.waveform, amplitude=1.0))
+    inject = _injector(replace(scenario, noise=unit) if split else scenario)
+    corr = BlockCorrelator(1 + split, sp.width * sp.height)
+    if gsim is not None:
+        Path(gsim).parent.mkdir(parents=True, exist_ok=True)
+    with (open(gsim, "wb") if gsim is not None else nullcontext()) as fh:
+        if fh is not None:
+            write_gsim_header(fh, sp.width, sp.height, n)
+        for a, frames in clean_blocks(scenario, s0):
+            b = a + len(frames)
+            # split: s holds u until the amplitude is known
+            s[a:b] = [inject(k, 0.0 if split else s0[k - 1], frame) for k, frame in enumerate(frames, a + 1)]
+            corr.push(np.stack((s0[a:b], s[a:b])) if split else s[None, a:b], frames)
+            for curve, column in zip(curves, columns):
+                curve[a:b] = frames[:, :, column].sum(axis=1, dtype=np.float64)
+            if fh is not None:
+                write_gsim_records(fh, s[a:b], frames)
+    if amplitude_rel_std is not None:
+        scenario = resolve_amplitude(scenario, s0, amplitude_rel_std)
+    weights = [1.0]
+    if split:
+        weights.append(scenario.noise.waveform.amplitude)
+        inject = _injector(scenario)
+        s[:] = [inject(k, s0[k - 1], None) for k in range(1, n + 1)]
+        if gsim is not None:
+            patch_gsim_buckets(gsim, s, sp.width, sp.height)
+    shape = (sp.height, sp.width)
+    return BlockRun(scenario, s0, s, corr.gi(shape, weights), corr.igi(shape, weights, normalization), curves)
 
 
 class IgiAccumulator:
-    """Streaming IGI state: previous record plus the running difference sum.
+    """Streaming IGI: a BlockCorrelator fed one record at a time, O(width*height) memory.
 
-    Memory is O(width*height) and independent of how many records flow
-    through. Records must arrive in ordinal order with no gaps (n, n+1, ...);
-    a skipped, repeated or reordered record is a ContractError, since it
+    Records must arrive in ordinal order with no gaps (n, n+1, ...); a
+    skipped, repeated or reordered record is a ContractError, since it
     would silently pair the wrong frames. Single-writer: one pusher at a
     time. finalize() is a snapshot; pushing more records afterwards and
     finalizing again is allowed.
@@ -82,31 +177,25 @@ class IgiAccumulator:
     def __init__(self, width: int, height: int):
         if width < 1 or height < 1:
             raise ContractError("accumulator needs positive frame dimensions")
-        self.width = width
-        self.height = height
-        self.pairs = 0
+        self.width, self.height, self.pairs = width, height, 0
         self._prev_n: int | None = None
-        self._prev_s: float | None = None
-        self._prev_frame: np.ndarray | None = None
-        self._sum = np.zeros((height, width))
+        self._corr = BlockCorrelator(1, width * height, gi=False)
 
     def push(self, record: MeasurementRecord) -> None:
         frame = record.frame
         if frame.shape != (self.height, self.width):
             raise ContractError(f"frame {frame.shape} does not fit accumulator {(self.height, self.width)}")
-        if self._prev_frame is not None:
+        if self._prev_n is not None:
             if record.n != self._prev_n + 1:
                 raise ContractError(f"record {record.n} follows record {self._prev_n}; ordinals must be consecutive")
-            self._sum += (record.s - self._prev_s) * (frame.astype(np.float64) - self._prev_frame)
             self.pairs += 1
+        self._corr.push(np.array([[float(record.s)]]), frame[None])
         self._prev_n = record.n
-        self._prev_s = float(record.s)
-        self._prev_frame = np.asarray(frame, dtype=np.float64).copy()
 
     def finalize(self, normalization: str = "unbiased") -> np.ndarray:
         if self.pairs < 1:
             raise ContractError("finalize needs at least one pushed pair (two records)")
-        return self._sum / _norm_divisor(normalization, self.pairs)
+        return self._corr.igi((self.height, self.width), normalization=normalization)
 
 
 @dataclass
@@ -119,12 +208,7 @@ class ValidityReport:
     flag: str  # "IGI regime" | "marginal" | "breakdown"
 
     def to_dict(self) -> dict:
-        return {
-            "signal_delta_rms": self.signal_delta_rms,
-            "noise_delta_bound": self.noise_delta_bound,
-            "ratio": self.ratio,
-            "flag": self.flag,
-        }
+        return asdict(self)
 
 
 def validity_diagnostic(

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, PgmFormatError
+from .errors import ConfigurationError, ContractError, PgmFormatError, memory_guard
 from .pgm import read_pgm, write_pgm
 
 BUILTIN_MASKS = ("TH", "double-slit", "disk", "checker")
@@ -70,7 +70,8 @@ def builtin_mask(name: str, width: int, height: int) -> np.ndarray:
     makers = {"TH": _th, "double-slit": _double_slit, "disk": _disk, "checker": _checker}
     if name not in BUILTIN_MASKS:  # a tuple: an unhashable name from JSON is just unknown
         raise ConfigurationError(f"unknown mask name {name!r}; choose from {BUILTIN_MASKS}")
-    mask = makers[name](width, height)
+    with memory_guard(f"a {width}x{height} mask", width * height * 8):
+        mask = makers[name](width, height)
     total = mask.sum()
     if not 0.0 < total < width * height:
         raise ConfigurationError(f"mask {name!r} degenerate at {width}x{height}")

@@ -14,6 +14,7 @@ bit-identically, in any order, from any process.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,8 +43,8 @@ class SpeckleParams:
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1", field=name)
         for name in ("grain_radius", "mean_intensity"):
-            if not (float(getattr(self, name)) > 0.0):
-                raise ConfigurationError(f"{name} must be > 0", field=name)
+            if not 0.0 < float(getattr(self, name)) < math.inf:
+                raise ConfigurationError(f"{name} must be a finite number > 0", field=name)
         if not 0 <= self.seed < 2**64:  # the Philox key word is 64 bits
             raise ConfigurationError("seed must be an integer in [0, 2**64)", field="seed")
 

@@ -1,12 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ghostsim import load_f64, load_mask, save_mask
-from ghostsim.cli import main
+from ghostsim import column_curve, load_f64, load_mask, save_mask, save_series, simulate, write_curve_csv
+from ghostsim.cli import evaluate, main
 from ghostsim.presets import PRESET_NAMES, preset_config
-from ghostsim.config import parse_config_text
+from ghostsim.config import build_scenario, parse_config_text
+
+from conftest import assert_close_rel
 
 _ARTIFACTS = [
     "gi.f64",
@@ -129,6 +132,27 @@ def test_huge_count_exits_3_without_traceback(tmp_path, capsys):
     assert main(["run", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "GB" in err[0]
+    assert not out.exists()
+
+
+def test_huge_mask_exits_3_without_traceback(tmp_path, capsys):
+    # a 10**6 x 10**6 float64 mask is 8000 GB: numpy refuses the allocation at once
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"speckle": {"width": 10**6, "height": 10**6}, "object": {"builtin": "TH"}, "count": 5}))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "GB" in err[0]
+    assert not out.exists()
+
+
+def test_non_finite_sweep_values_exit_2_before_writing(tmp_path, capsys):
+    cfg = _small_cfg(tmp_path, position="B", kind="sinusoid", amplitude=1.0, frequency=5.0)
+    out = tmp_path / "s"
+    for axis in ("noise-amplitude", "noise-frequency"):
+        for value in ("nan", "inf", "-inf"):
+            assert main(["sweep", str(cfg), "--axis", axis, "--values", f"1,{value}", "--out", str(out)]) == 2
+            assert "must be a finite number" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -349,3 +373,68 @@ def test_non_finite_numbers_exit_2_with_line(tmp_path, capsys):
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert f"{path}:{line}:" in capsys.readouterr().err
         assert not out.exists()
+
+
+_ENGINE_CASES = {
+    "none": {},
+    "none-rel": {"position": "none", "kind": "sinusoid", "amplitude_rel_std": 3.0, "frequency": 0.5},
+    "A-abs": {"position": "A", "kind": "sinusoid", "amplitude": 400.0, "frequency": 0.5},
+    "A-rel": {"position": "A", "kind": "gaussian_white", "amplitude_rel_std": 5.0, "seed": 8},
+    "B-abs": {"position": "B", "kind": "gaussian_white", "amplitude": 300.0, "seed": 2},
+    "B-rel": {"position": "B", "kind": "sinusoid", "amplitude_rel_std": 200.0, "frequency": 0.05},
+    "B-rel-constant": {"position": "B", "kind": "constant", "amplitude_rel_std": 7.0},
+    "B-rel-poisson": {"position": "B", "kind": "poisson", "amplitude_rel_std": 2.0, "seed": 4},
+    "C-abs": {"position": "C", "kind": "sinusoid", "amplitude": 30.0, "frequency": 0.5, "spatial": {"region": "right_half"}},
+    "C-rel": {"position": "C", "kind": "sinusoid", "amplitude_rel_std": 0.1, "frequency": 0.5, "spatial": {"region": "full"}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
+def test_block_engine_matches_materialized_run(tmp_path, case):
+    # 700 records at 16x16 are three blocks of 256, the last one partial
+    data = {
+        "speckle": {"width": 16, "height": 16, "seed": 7},
+        "object": {"builtin": "disk"},
+        "count": 700,
+        "output": {"emit_frames": True, "emit_curves": True},
+    }
+    if _ENGINE_CASES[case]:
+        data["noise"] = _ENGINE_CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    out, ref = tmp_path / "out", tmp_path / "ref"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+
+    series = simulate(*build_scenario(parse_config_text(path.read_text())))
+    ref.mkdir()
+    write_curve_csv(series.s, ref / "bucket_curve.csv")
+    write_curve_csv(column_curve(series, 4), ref / "column_curve_left.csv")
+    write_curve_csv(column_curve(series, 12), ref / "column_curve_right.csv")
+    save_series(series, ref / "series.gsim")
+    for name in ("bucket_curve.csv", "column_curve_left.csv", "column_curve_right.csv", "series.gsim"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+    flat = series.frames.reshape(700, -1)
+    gi = (series.s - series.s.mean()) @ (flat - flat.mean(axis=0)) / 700
+    igi = np.diff(series.s) @ np.diff(flat, axis=0) / (2 * 699)
+    assert_close_rel(load_f64(out / "gi.f64"), gi.reshape(16, 16), 1e-12, "GI")
+    assert_close_rel(load_f64(out / "igi.f64"), igi.reshape(16, 16), 1e-12, "IGI")
+
+
+def test_evaluate_holds_no_frame_cube(tmp_path):
+    # a 4000x64x64 float64 frame cube alone is 131 MB; one block of 256 frames is 8.4 MB
+    text = json.dumps({
+        "speckle": {"width": 64, "height": 64, "seed": 3},
+        "object": {"builtin": "TH"},
+        "count": 4000,
+        "noise": {"position": "B", "kind": "sinusoid", "amplitude_rel_std": 200.0, "frequency": 0.005},
+        "output": {"emit_curves": True},
+    })
+    cfg = parse_config_text(text)
+    tracemalloc.start()
+    try:
+        run = evaluate(cfg, tmp_path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert run.curves.shape == (2, 4000)
+    assert peak < 32e6, f"evaluate peaked at {peak / 1e6:.1f} MB"

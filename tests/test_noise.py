@@ -99,6 +99,14 @@ def test_waveform_validation():
         NoiseWaveform(kind="poisson", amplitude=1.0, seed=-4)
 
 
+@pytest.mark.parametrize("name", ["amplitude", "frequency", "phase", "sample_rate"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_waveform_rejects_non_finite_floats(name, value):
+    with pytest.raises(ConfigurationError) as err:
+        NoiseWaveform(kind="sinusoid", **{name: value})
+    assert err.value.field == name
+
+
 def test_delta_bound_formulas():
     assert per_step_noise_delta_bound(NoiseWaveform(kind="off")) == 0.0
     assert per_step_noise_delta_bound(NoiseWaveform(kind="constant", amplitude=5.0)) == 0.0

@@ -56,9 +56,9 @@ def test_gi_blocked_accumulation_spans_block_boundary():
 
 
 def test_blocks_are_bounded_in_bytes_above_64x64(tmp_path):
-    # 128x128 holds 512 records per block, so 600 records span two blocks
+    # 128x128 holds 64 records per block (8 MB of f64 frames), so 600 records span ten blocks
     series = synthetic_series(11, count=600, width=128, height=128)
-    assert series.block == 512
+    assert series.block == 64
     flat = series.frames.reshape(600, -1)
     gi = (series.s - series.s.mean()) @ (flat - flat.mean(axis=0)) / 600
     igi = np.diff(series.s) @ np.diff(flat, axis=0) / (2 * 599)

@@ -22,6 +22,14 @@ def test_params_validation():
         SpeckleParams(width=8, height=8, seed=-1)
 
 
+@pytest.mark.parametrize("name", ["grain_radius", "mean_intensity"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite_floats(name, value):
+    with pytest.raises(ConfigurationError) as err:
+        SpeckleParams(width=8, height=8, **{name: value})
+    assert err.value.field == name
+
+
 def test_frame_index_is_one_based():
     p = SpeckleParams(width=8, height=8, seed=3)
     with pytest.raises(ContractError):
