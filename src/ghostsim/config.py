@@ -1,22 +1,21 @@
 """Scenario configuration: JSON schema, parsing, and the one path to a Scenario.
 
-parse_config_text checks JSON syntax, keys, types and defaults, then builds
-the scenario once through build_scenario, whose domain constructors check
-every range and name. Every error carries <file>:<line> of its JSON path.
+parse_config_text walks the JSON against _SCHEMA, the one statement of each
+key's JSON type and default, checks the rules between keys, then builds the
+scenario once through build_scenario, whose domain constructors check every
+range and name. Every error carries <file>:<line> of its JSON path.
 
-Schema (JSON object):
+Schema (* required; otherwise the default, or "-" for a key absent unless given):
 
-  speckle   required  {width, height, grain_radius?, mean_intensity?, seed?}
-  object    required  {"builtin": name} or {"pgm": path}
-  count     required  int >= 2
-  noise     optional  {position?, kind?, amplitude? | amplitude_rel_std?,
-                       frequency?, phase?, sample_rate?, seed?,
-                       spatial?: {region, pgm?}}
-  output    optional  {dir?, emit_curves?, emit_frames?, igi_normalization?}
+  speckle *  {width* int, height* int, grain_radius 2.0, mean_intensity 1.0, seed 0}
+  object *   exactly one of {builtin str} or {pgm str}
+  count *    int
+  noise      {position "none", kind "off", amplitude 0.0 | amplitude_rel_std -, frequency 0.0,
+              phase 0.0, sample_rate 25.0, seed 0, spatial null | {region* str, pgm - (custom only)}}
+  output     {dir "out", emit_curves true, emit_frames false, igi_normalization "unbiased"}
 
-amplitude_rel_std gives the amplitude as a multiple of the clean bucket
-signal's population standard deviation; it is resolved to an absolute
-amplitude before simulation and the manifest records the absolute value.
+Numbers become floats. amplitude_rel_std is the amplitude in units of the clean
+bucket's population std; run_blocks resolves it and the manifest records the result.
 """
 from __future__ import annotations
 
@@ -32,18 +31,29 @@ from .reconstruct import IGI_NORMALIZATIONS
 from .scene import builtin_mask, load_mask
 from .speckle import SpeckleParams
 
-_TOP_KEYS = {"speckle", "object", "count", "noise", "output"}
-_SPECKLE_KEYS = {"width", "height", "grain_radius", "mean_intensity", "seed"}
-_OBJECT_KEYS = {"builtin", "pgm"}
-_NOISE_KEYS = {"position", "kind", "amplitude", "amplitude_rel_std", "frequency", "phase", "sample_rate", "seed", "spatial"}
-_SPATIAL_KEYS = {"region", "pgm"}
-_OUTPUT_KEYS = {"dir", "emit_curves", "emit_frames", "igi_normalization"}
+_REQUIRED, _ABSENT = "required", "absent"
 
-_DEFAULT_OUTPUT = {"dir": "out", "emit_curves": True, "emit_frames": False, "igi_normalization": "unbiased"}
-_DEFAULT_NOISE = {
-    "position": "none", "kind": "off", "amplitude": 0.0, "frequency": 0.0,
-    "phase": 0.0, "sample_rate": 25.0, "seed": 0, "spatial": None,
+# section -> key -> (JSON type, default). A dict type is a nested section; a default
+# is a value, _REQUIRED or _ABSENT; a key whose default is None also accepts null.
+_SCHEMA = {
+    "speckle": ({
+        "width": (int, _REQUIRED), "height": (int, _REQUIRED),
+        "grain_radius": (float, 2.0), "mean_intensity": (float, 1.0), "seed": (int, 0),
+    }, _REQUIRED),
+    "object": ({"builtin": (str, _ABSENT), "pgm": (str, _ABSENT)}, _REQUIRED),
+    "count": (int, _REQUIRED),
+    "noise": ({
+        "position": (str, "none"), "kind": (str, "off"), "amplitude": (float, 0.0),
+        "frequency": (float, 0.0), "phase": (float, 0.0), "sample_rate": (float, 25.0), "seed": (int, 0),
+        "spatial": ({"region": (str, _REQUIRED), "pgm": (str, _ABSENT)}, None),
+        "amplitude_rel_std": (float, _ABSENT),
+    }, {}),
+    "output": ({
+        "dir": (str, "out"), "emit_curves": (bool, True), "emit_frames": (bool, False),
+        "igi_normalization": (str, "unbiased"),
+    }, {}),
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false"}
 
 
 _KEY_OR_BRACE = re.compile(r'("(?:[^"\\]|\\.)*")(\s*:)?|[{}]')
@@ -86,20 +96,37 @@ class _Source:
         raise ConfigurationError(f"{self.path}:{self.line_at(first.start())}: non-finite number {token} is not allowed")
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
+def _has_type(value, kind) -> bool:
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is float:  # finite and float-representable: rejects 1e999 (inf) and ints beyond float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
-def _is_num(v) -> bool:
-    # finite and float-representable: rejects 1e999 (inf) and ints beyond float range
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _check_keys(obj: dict, allowed: set, section: tuple, src: _Source) -> None:
+def _walk(obj, table: dict, path: tuple, src: _Source) -> dict:
+    """Check obj against one schema table: an object, known keys, required keys present, JSON types; fill defaults."""
+    where = ".".join(path) or "config"
+    if not isinstance(obj, dict):
+        raise src.fail(path, f"{where} must be an object")
     for key in obj:
-        if key not in allowed:
-            where = ".".join(section) or "config"
-            raise src.fail((*section, key), f"unknown key {key!r} in {where}; allowed: {sorted(allowed)}")
+        if key not in table:
+            raise src.fail((*path, key), f"unknown key {key!r} in {where}; allowed: {sorted(table)}")
+    out = {}
+    for key, (kind, default) in table.items():
+        at, name = (*path, key), ".".join((*path, key))
+        if key not in obj and default in (_REQUIRED, _ABSENT):
+            if default == _REQUIRED:
+                raise src.fail(at, f"{name} is required")
+            continue
+        value = obj.get(key, default)
+        if isinstance(kind, dict):
+            out[key] = None if value is None and default is None else _walk(value, kind, at, src)
+        elif not _has_type(value, kind):
+            raise src.fail(at, f"{name} must be {_TYPE_NAMES[kind]}")
+        else:
+            out[key] = float(value) if kind is float else value
+    return out
 
 
 def parse_config_text(text: str, path: str = "<config>") -> dict:
@@ -109,104 +136,29 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
         raw = json.loads(text, parse_constant=src.reject_non_finite)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer past int()'s digit limit, or nesting too deep
+        raise ConfigurationError(f"{path}:1: invalid JSON: {exc}") from exc
     if isinstance(raw, dict) and raw.get("format") == "ghostsim-manifest":
         # a manifest embeds the resolved config it was produced from
         raw = raw.get("config")
         src.prefix = ("config",)
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}:1: config must be a JSON object")
-    _check_keys(raw, _TOP_KEYS, (), src)
-    for req in ("speckle", "object", "count"):
-        if req not in raw:
-            raise ConfigurationError(f"{path}:1: missing required key {req!r}")
+    cfg = _walk(raw, _SCHEMA, (), src)
 
-    sp = raw["speckle"]
-    if not isinstance(sp, dict):
-        raise src.fail(("speckle",), "speckle must be an object")
-    _check_keys(sp, _SPECKLE_KEYS, ("speckle",), src)
-    for req in ("width", "height"):
-        if req not in sp:
-            raise src.fail(("speckle",), f"speckle.{req} is required")
-    out_sp = {
-        "width": sp["width"], "height": sp["height"],
-        "grain_radius": sp.get("grain_radius", 2.0),
-        "mean_intensity": sp.get("mean_intensity", 1.0),
-        "seed": sp.get("seed", 0),
-    }
-    for key in ("width", "height", "seed"):
-        if not _is_int(out_sp[key]):
-            raise src.fail(("speckle", key), f"speckle.{key} must be an integer")
-    for key in ("grain_radius", "mean_intensity"):
-        if not _is_num(out_sp[key]):
-            raise src.fail(("speckle", key), f"speckle.{key} must be a number")
-        out_sp[key] = float(out_sp[key])
-
-    obj = raw["object"]
-    if not isinstance(obj, dict):
-        raise src.fail(("object",), "object must be an object")
-    _check_keys(obj, _OBJECT_KEYS, ("object",), src)
-    if len(obj) != 1:
+    if len(cfg["object"]) != 1:
         raise src.fail(("object",), 'object needs exactly one of "builtin" or "pgm"')
-    if "pgm" in obj and not isinstance(obj["pgm"], str):
-        raise src.fail(("object", "pgm"), "object.pgm must be a path string")
-
-    count = raw["count"]
-    if not _is_int(count):
-        raise src.fail(("count",), "count must be an integer")
-
-    noise = dict(_DEFAULT_NOISE)
-    if "noise" in raw:
-        nz = raw["noise"]
-        if not isinstance(nz, dict):
-            raise src.fail(("noise",), "noise must be an object")
-        _check_keys(nz, _NOISE_KEYS, ("noise",), src)
-        if "amplitude" in nz and "amplitude_rel_std" in nz:
+    noise, spatial = cfg["noise"], cfg["noise"]["spatial"]
+    if "amplitude_rel_std" in noise:
+        if "amplitude" in raw["noise"]:
             raise src.fail(("noise", "amplitude_rel_std"), "give either amplitude or amplitude_rel_std, not both")
-        noise.update({k: v for k, v in nz.items() if k != "spatial"})
-        if nz.get("spatial") is not None:
-            spt = nz["spatial"]
-            if not isinstance(spt, dict):
-                raise src.fail(("noise", "spatial"), "noise.spatial must be an object")
-            _check_keys(spt, _SPATIAL_KEYS, ("noise", "spatial"), src)
-            region = spt.get("region")
-            if region == "custom" and "pgm" not in spt:
-                raise src.fail(("noise", "spatial", "region"), "custom spatial region requires a pgm weights path")
-            if region != "custom" and "pgm" in spt:
-                raise src.fail(("noise", "spatial", "pgm"), "spatial.pgm only applies to the custom region")
-            if "pgm" in spt and not isinstance(spt["pgm"], str):
-                raise src.fail(("noise", "spatial", "pgm"), "noise.spatial.pgm must be a path string")
-            noise["spatial"] = {"region": region, **({"pgm": spt["pgm"]} if "pgm" in spt else {})}
-    for key in ("frequency", "phase", "sample_rate"):
-        if not _is_num(noise[key]):
-            raise src.fail(("noise", key), f"noise.{key} must be a number")
-        noise[key] = float(noise[key])
-    if not _is_int(noise["seed"]):
-        raise src.fail(("noise", "seed"), "noise.seed must be an integer")
-    amp_key = "amplitude_rel_std" if "amplitude_rel_std" in noise else "amplitude"
-    if not _is_num(noise[amp_key]):
-        raise src.fail(("noise", amp_key), f"noise.{amp_key} must be a number")
-    noise[amp_key] = float(noise[amp_key])
-    if amp_key == "amplitude_rel_std":
-        if noise[amp_key] < 0:  # no constructor sees it before simulate() resolves it
-            raise src.fail(("noise", amp_key), "noise.amplitude_rel_std must be >= 0")
-        noise.pop("amplitude", None)  # the relative form owns the amplitude
-
-    output = dict(_DEFAULT_OUTPUT)
-    if "output" in raw:
-        op = raw["output"]
-        if not isinstance(op, dict):
-            raise src.fail(("output",), "output must be an object")
-        _check_keys(op, _OUTPUT_KEYS, ("output",), src)
-        output.update(op)
-    if not isinstance(output["dir"], str):
-        raise src.fail(("output", "dir"), "output.dir must be a string")
-    for key in ("emit_curves", "emit_frames"):
-        if not isinstance(output[key], bool):
-            raise src.fail(("output", key), f"output.{key} must be true or false")
-    if output["igi_normalization"] not in IGI_NORMALIZATIONS:
+        if noise["amplitude_rel_std"] < 0:  # no constructor sees it before run_blocks resolves it
+            raise src.fail(("noise", "amplitude_rel_std"), "noise.amplitude_rel_std must be >= 0")
+        del noise["amplitude"]  # the relative form owns the amplitude
+    if spatial is not None and spatial["region"] == "custom" and "pgm" not in spatial:
+        raise src.fail(("noise", "spatial", "region"), "custom spatial region requires a pgm weights path")
+    if spatial is not None and spatial["region"] != "custom" and "pgm" in spatial:
+        raise src.fail(("noise", "spatial", "pgm"), "spatial.pgm only applies to the custom region")
+    if cfg["output"]["igi_normalization"] not in IGI_NORMALIZATIONS:
         raise src.fail(("output", "igi_normalization"), f"igi_normalization must be one of {IGI_NORMALIZATIONS}")
-
-    cfg = {"speckle": out_sp, "object": dict(obj), "count": count, "noise": noise, "output": output}
     try:
         build_scenario(cfg)
     except ConfigurationError as exc:
@@ -229,8 +181,9 @@ def _section(prefix: str):
 
 
 def build_scenario(cfg: dict) -> tuple[Scenario, float | None]:
-    """The one path from a parsed config to a Scenario and its amplitude_rel_std, which simulate() resolves.
+    """The one path from a parsed config to a Scenario and its amplitude_rel_std.
 
+    run_blocks (on the CLI path) or simulate resolves amplitude_rel_std to an absolute amplitude.
     A ConfigurationError's field is the JSON path at fault, e.g. noise.spatial.region.
     """
     with _section("speckle"):

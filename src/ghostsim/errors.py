@@ -4,6 +4,7 @@ The CLI maps these onto process exit codes: configuration errors exit 2,
 contract violations exit 3, file format problems exit 4 (plain OSError,
 e.g. a missing file, also exits 4).
 """
+import sys
 from contextlib import contextmanager
 
 
@@ -32,9 +33,12 @@ class PgmFormatError(GhostsimError):
 
 
 @contextmanager
-def memory_guard(what: str, nbytes: float):
-    """Turn a MemoryError raised inside the block into a ContractError that names what needed how many GB."""
+def memory_guard(what: str, nbytes: int):
+    """Turn an allocation of nbytes that cannot succeed into a ContractError naming what needed how many GB."""
     try:
+        if nbytes > sys.maxsize:  # numpy raises ValueError, not MemoryError, for a size past its index range
+            raise MemoryError
         yield
     except MemoryError as exc:
-        raise ContractError(f"{what} needs {nbytes * 1e-9:.3g} GB; it does not fit in memory") from exc
+        from decimal import Decimal  # formats sizes beyond float range; imported only when needed
+        raise ContractError(f"{what} needs {Decimal(nbytes) / 10**9:.3g} GB; it does not fit in memory") from exc

@@ -36,6 +36,8 @@ def read_pgm(path) -> tuple[np.ndarray, int]:
 
     dtype is uint8 for maxval <= 255, uint16 (native order) otherwise.
     """
+    if "\0" in str(path):  # open() raises ValueError for it
+        raise OSError(f"invalid path {str(path)!r}: embedded null byte")
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:2] != b"P5":

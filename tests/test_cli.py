@@ -124,10 +124,12 @@ def test_builtin_mask_on_small_grid_exits_2_with_line(tmp_path, capsys):
     assert err.startswith(f"error: {path}:4:") and "8x8" in err
 
 
-def test_huge_count_exits_3_without_traceback(tmp_path, capsys):
-    # 10**12 records: numpy refuses the allocation at once; a smaller count might really allocate
+@pytest.mark.parametrize("count", [10**12, 10**20], ids=["1e12", "1e20"])
+def test_huge_count_exits_3_without_traceback(tmp_path, capsys, count):
+    # 10**12 records: numpy refuses the allocation at once; a smaller count might really allocate.
+    # 10**20 is past numpy's index range, where numpy raises ValueError instead of MemoryError.
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"speckle": {"width": 64, "height": 64}, "object": {"builtin": "TH"}, "count": 10**12}))
+    path.write_text(json.dumps({"speckle": {"width": 64, "height": 64}, "object": {"builtin": "TH"}, "count": count}))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
@@ -135,10 +137,15 @@ def test_huge_count_exits_3_without_traceback(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_huge_mask_exits_3_without_traceback(tmp_path, capsys):
-    # a 10**6 x 10**6 float64 mask is 8000 GB: numpy refuses the allocation at once
+@pytest.mark.parametrize(
+    "width, height, builtin", [(10**6, 10**6, "TH"), (10**19, 16, "disk")], ids=["1e6x1e6", "1e19x16"]
+)
+def test_huge_mask_exits_3_without_traceback(tmp_path, capsys, width, height, builtin):
+    # a 10**6 x 10**6 float64 mask is 8000 GB: numpy refuses the allocation at once;
+    # a 10**19-wide grid is past numpy's index range, where numpy raises ValueError instead of MemoryError
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"speckle": {"width": 10**6, "height": 10**6}, "object": {"builtin": "TH"}, "count": 5}))
+    cfg = {"speckle": {"width": width, "height": height}, "object": {"builtin": builtin}, "count": 5}
+    path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()

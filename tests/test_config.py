@@ -1,9 +1,18 @@
 import json
+import os
+import re
+import tempfile
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from ghostsim import ConfigurationError
-from ghostsim.config import load_config, parse_config_text
+from ghostsim import ConfigurationError, ContractError, PgmFormatError, save_mask
+from ghostsim.config import _SCHEMA, load_config, parse_config_text
+
+# hypothesis caches source constants and a unicode table in ./.hypothesis unless pointed elsewhere
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "ghostsim-hypothesis"))
 
 _MINIMAL = """{
   "speckle": {"width": 16, "height": 16},
@@ -57,6 +66,11 @@ def test_invalid_json_reports_line():
     with pytest.raises(ConfigurationError) as err:
         parse_config_text('{\n  "speckle": }', path="x.json")
     assert str(err.value).startswith("x.json:2:")
+    # json.loads raises ValueError for an int past int()'s digit limit and RecursionError for deep nesting
+    for text in ('{"count": 1%s}' % ("0" * 5000), '{"noise": %s}' % ("[" * 100_000 + "]" * 100_000)):
+        with pytest.raises(ConfigurationError) as err:
+            parse_config_text(text, path="x.json")
+        assert str(err.value).startswith("x.json:1: invalid JSON: ")
 
 
 def test_unknown_keys_rejected_at_every_level():
@@ -235,3 +249,74 @@ def test_range_and_name_errors_carry_line_and_json_path(old, new, line, json_pat
     with pytest.raises(ConfigurationError) as err:
         parse_config_text(_ALL_KEYS.replace(old, new), path="x.json")
     assert str(err.value).startswith(f"x.json:{line}: {json_path}: ")
+
+
+def _schema_paths(table: dict, path: tuple = ()) -> list:
+    """(path, JSON type) of every key in the schema; sections and an unknown key in each section have type None."""
+    paths = [((*path, "bogus"), None)]
+    for key, (kind, _) in table.items():
+        if isinstance(kind, dict):
+            paths += [((*path, key), None), *_schema_paths(kind, (*path, key))]
+        else:
+            paths.append(((*path, key), kind))
+    return paths
+
+
+_NAMES = ["none", "A", "B", "C", "off", "constant", "sinusoid", "gaussian_white", "poisson", "full", "right_half",
+          "custom", "disk", "TH", "unbiased", "paper-literal", ""]
+# ints are small or past numpy's index range (2**63): a grid in between would really be allocated
+_INTS = st.integers(-3, 40) | st.integers(10**19, 10**400) | st.integers(-(10**400), -(10**19))
+_TYPED = {int: _INTS, float: _INTS | st.floats(), str: st.sampled_from(_NAMES) | st.text(max_size=4), bool: st.booleans()}
+_SCALARS = st.none() | st.one_of(*_TYPED.values())
+_KEYS = st.sampled_from(sorted({path[-1] for path, _ in _schema_paths(_SCHEMA)})) | st.text(max_size=4)
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3), max_leaves=6
+)
+# (path, delete?, value): half the values have the key's own JSON type, so the checks past the walk are reached too
+_EDITS = st.lists(
+    st.sampled_from(_schema_paths(_SCHEMA)).flatmap(
+        lambda pk: st.tuples(st.just(pk[0]), st.booleans(), _TYPED.get(pk[1], _VALUES) | _VALUES)
+    ),
+    min_size=1, max_size=2,
+)
+# the object's pgm path: None keeps the builtin mask, "mask" is a valid 16x16 mask, the rest are hostile paths
+_OBJECT_PGM = st.none() | st.sampled_from(["mask", "absent.pgm", ".", "nul\0.pgm", "README.md"]) | st.text(max_size=4)
+
+
+@pytest.fixture(scope="module")
+def mask_pgm(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mask") / "m.pgm"
+    save_mask(np.tri(16), path)
+    return str(path)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(edits=_EDITS, object_pgm=_OBJECT_PGM, as_manifest=st.booleans())
+@example(edits=[(("speckle", "width"), False, 10**19)], object_pgm=None, as_manifest=False)  # numpy: ValueError
+@example(edits=[(("count",), False, 20)], object_pgm="nul\0.pgm", as_manifest=False)  # open(): ValueError
+def test_any_edit_at_a_schema_path_parses_or_fails_with_line(mask_pgm, edits, object_pgm, as_manifest):
+    cfg = json.loads(_ALL_KEYS)
+    if object_pgm is not None:
+        cfg["object"] = {"pgm": mask_pgm if object_pgm == "mask" else object_pgm}
+    for path, delete, value in edits:
+        node = cfg
+        for key in path[:-1]:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        if delete:
+            node.pop(path[-1], None)
+        else:
+            node[path[-1]] = value
+    doc = {"format": "ghostsim-manifest", "config": cfg} if as_manifest else cfg
+    text = json.dumps(doc, indent=2)
+    try:
+        parsed = parse_config_text(text, path="x.json")
+    except ConfigurationError as exc:
+        assert re.match(r"x\.json:\d+: ", str(exc))
+    except (OSError, PgmFormatError):
+        assert '"pgm": "' in text
+    except ContractError as exc:  # a builtin mask too large to allocate
+        assert "GB" in str(exc)
+    else:
+        assert parse_config_text(json.dumps(parsed)) == parsed  # a parsed config parses to itself
