@@ -3,7 +3,9 @@
 Runs Monte Carlo sweeps over seeds for the speckle statistics, the noise
 step-bound violation rates, and the preset-scale reconstruction quality
 numbers, then writes calibration/calibration.json (machine-readable) and
-calibration/calibration.md (the summary the test thresholds cite).
+calibration/calibration.md (the summary the test thresholds cite). Preset
+runs go through reconstruct.run_blocks, the path `ghostsim preset` takes and
+the one place a relative noise amplitude is resolved, so no frame cube is built.
 
 Everything here is seeded and deterministic. A rerun reproduces
 calibration.md exactly; calibration.json agrees to about 1e-16 relative,
@@ -22,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ghostsim import (
+    BlockRun,
     IgiAccumulator,
     MeasurementSeries,
     NoiseWaveform,
@@ -29,12 +32,11 @@ from ghostsim import (
     builtin_mask,
     clean_bucket_series,
     generate_frame,
-    gi_reconstruct,
     igi_reconstruct,
     noise_value,
     pearson,
     per_step_noise_delta_bound,
-    simulate,
+    run_blocks,
 )
 from ghostsim.cli import run_sweep
 from ghostsim.presets import PRESET_NAMES, preset_config
@@ -136,12 +138,12 @@ def noise_violation_rates() -> dict:
     return out
 
 
-def _preset_series(name: str, seed: int | None = None) -> MeasurementSeries:
-    """One frame pass of a preset, relative noise amplitude resolved in that pass."""
+def _preset_run(name: str, seed: int | None = None) -> BlockRun:
+    """One block-engine pass of a preset; run_blocks resolves its relative noise amplitude."""
     cfg = parse_config_text(json.dumps(preset_config(name)), path=f"<preset {name}>")
     if seed is not None:
         cfg["speckle"]["seed"] = seed
-    return simulate(*build_scenario(cfg))
+    return run_blocks(*build_scenario(cfg))
 
 
 def clean_preset_across_seeds(seeds: int) -> dict:
@@ -149,15 +151,13 @@ def clean_preset_across_seeds(seeds: int) -> dict:
     truth = builtin_mask("TH", 64, 64)
     rows = []
     for seed in range(seeds):
-        series = _preset_series("clean", seed=seed)
-        gi = gi_reconstruct(series)
-        igi = igi_reconstruct(series)
+        run = _preset_run("clean", seed=seed)
         rows.append(
             {
                 "seed": seed,
-                "gi_pearson_r": pearson(gi, truth),
-                "igi_pearson_r": pearson(igi, truth),
-                "gi_igi_pearson_r": pearson(gi, igi),
+                "gi_pearson_r": pearson(run.gi, truth),
+                "igi_pearson_r": pearson(run.igi, truth),
+                "gi_igi_pearson_r": pearson(run.gi, run.igi),
             }
         )
     return {
@@ -174,12 +174,10 @@ def noisy_presets_at_shipped_seed() -> dict:
     clean_ref: dict = {}
     out = {}
     for name in PRESET_NAMES:
-        series = _preset_series(name)
-        gi = gi_reconstruct(series)
-        igi = igi_reconstruct(series)
+        run = _preset_run(name)
         entry = {
-            "gi_pearson_r": pearson(gi, truth),
-            "igi_pearson_r": pearson(igi, truth),
+            "gi_pearson_r": pearson(run.gi, truth),
+            "igi_pearson_r": pearson(run.igi, truth),
         }
         if name == "clean":
             clean_ref["gi"] = entry["gi_pearson_r"]
@@ -196,12 +194,12 @@ def noisy_preset_seed_spread(seeds: int) -> dict:
     truth = builtin_mask("TH", 64, 64)
     rows = []
     for seed in range(seeds):
-        series = _preset_series("position-B", seed=seed)
+        run = _preset_run("position-B", seed=seed)
         rows.append(
             {
                 "seed": seed,
-                "gi_pearson_r": pearson(gi_reconstruct(series), truth),
-                "igi_pearson_r": pearson(igi_reconstruct(series), truth),
+                "gi_pearson_r": pearson(run.gi, truth),
+                "igi_pearson_r": pearson(run.igi, truth),
             }
         )
     return {

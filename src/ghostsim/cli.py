@@ -63,13 +63,21 @@ def _write_json(obj, path: Path) -> None:
 
 
 def run_scenario(cfg: dict, out_dir: Path) -> dict:
-    """Simulate, reconstruct, measure, and write the full artifact set."""
-    run, embedded, validity = evaluate(cfg, out_dir)
+    """Simulate, reconstruct, measure, and write the full artifact set; a failed run removes what it wrote."""
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run, embedded, validity = evaluate(cfg, out_dir)
+    except BaseException:
+        if cfg["output"]["emit_frames"]:
+            (out_dir / "series.gsim").unlink(missing_ok=True)
+        for d in created:
+            d.rmdir()
+        raise
     truth = run.scenario.object_mask
     report_gi = quality_report(run.gi, truth)
     report_igi = quality_report(run.igi, truth)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     save_f64(run.gi, out_dir / "gi.f64")
     save_f64(run.igi, out_dir / "igi.f64")
     save_recon_pgm(run.gi, out_dir / "gi.pgm")

@@ -183,7 +183,7 @@ def _section(prefix: str):
 def build_scenario(cfg: dict) -> tuple[Scenario, float | None]:
     """The one path from a parsed config to a Scenario and its amplitude_rel_std.
 
-    run_blocks (on the CLI path) or simulate resolves amplitude_rel_std to an absolute amplitude.
+    Only run_blocks resolves amplitude_rel_std to an absolute amplitude; simulate takes the Scenario alone.
     A ConfigurationError's field is the JSON path at fault, e.g. noise.spatial.region.
     """
     with _section("speckle"):

@@ -9,9 +9,9 @@ Injection positions (clean frame F_n, clean bucket S0_n = sum F_n*T):
 
 clean_blocks makes each frame once, in ordinal blocks of about 8 MB, and sums
 S0_n from it; one position switch (_injector) then adds Q_n. run_blocks (in
-reconstruct) holds one block at a time; simulate() keeps every frame and S0;
-simulate_stream() yields one record at a time. All are pure functions of
-the scenario, so any record can be recomputed and runs replay bit-identically.
+reconstruct) holds one block at a time and alone resolves amplitude_rel_std;
+simulate() keeps every frame; simulate_stream() yields one record at a time.
+All are pure functions of the scenario, so runs replay bit-identically.
 """
 from __future__ import annotations
 
@@ -102,16 +102,14 @@ class MeasurementRecord:
 
 @dataclass
 class MeasurementSeries:
-    """Materialized run: s[i] and frames[i] belong to ordinal n = i + 1."""
+    """The records of a run, as a .gsim stores them: s[i] and frames[i] belong to ordinal n = i + 1."""
 
     s: np.ndarray              # (N,) float64
     frames: np.ndarray         # (N, height, width): float64 when simulated, float32 when loaded
-    s0: np.ndarray | None = None        # clean bucket S0_n, when simulated
-    scenario: Scenario | None = None    # what was simulated, amplitude resolved
 
     def __post_init__(self) -> None:
-        if self.frames.ndim != 3 or len(self.s) != len(self.frames):
-            raise ContractError("series needs s (N,) and frames (N, height, width)")
+        if self.frames.ndim != 3 or len(self.s) != len(self.frames) or 0 in self.frames.shape[1:]:
+            raise ContractError("series needs s (N,) and frames (N, height, width), height and width >= 1")
         if len(self.s) < 2:
             raise ContractError("series must hold at least 2 records")
 
@@ -125,11 +123,6 @@ class MeasurementSeries:
     @property
     def height(self) -> int:
         return self.frames.shape[1]
-
-    @property
-    def block(self) -> int:
-        """Records per .gsim write and GI/IGI step."""
-        return block_records(self.width, self.height)
 
     def records(self) -> Iterator[MeasurementRecord]:
         for i in range(len(self.s)):
@@ -159,7 +152,7 @@ def _injector(scenario: Scenario):
 
 
 def block_records(width: int, height: int) -> int:
-    """Records per block: _BLOCK, fewer above 64x64 to keep a block of f64 frames near 8 MB."""
+    """Records per frame block, GI/IGI step and .gsim write: _BLOCK, fewer above 64x64 to keep f64 frames near 8 MB."""
     return max(1, min(_BLOCK, _BLOCK * 4096 // (width * height)))
 
 
@@ -185,21 +178,16 @@ def resolve_amplitude(scenario: Scenario, s0: np.ndarray, amplitude_rel_std: flo
     return replace(scenario, noise=replace(scenario.noise, waveform=waveform))
 
 
-def simulate(scenario: Scenario, amplitude_rel_std: float | None = None) -> MeasurementSeries:
-    """Run the full scenario into memory, generating each frame once.
-
-    amplitude_rel_std sets the waveform amplitude to that multiple of std(S0).
-    """
+def simulate(scenario: Scenario) -> MeasurementSeries:
+    """Run the full scenario into memory, generating each frame once."""
     sp, n = scenario.speckle, scenario.count
     with memory_guard(f"count {n} at {sp.width}x{sp.height}", n * (sp.width * sp.height + 2) * 8):  # frames, S0, S
         s0, frames = np.empty(n), np.empty((n, sp.height, sp.width))
     for a, block in clean_blocks(scenario, s0):
         frames[a : a + len(block)] = block
-    if amplitude_rel_std is not None:
-        scenario = resolve_amplitude(scenario, s0, amplitude_rel_std)
     inject = _injector(scenario)
     s = np.array([inject(i + 1, s0[i], frames[i]) for i in range(n)], dtype=np.float64)
-    return MeasurementSeries(s=s, frames=frames, s0=s0, scenario=scenario)
+    return MeasurementSeries(s=s, frames=frames)
 
 
 def simulate_stream(scenario: Scenario) -> Iterator[MeasurementRecord]:
@@ -211,9 +199,11 @@ def simulate_stream(scenario: Scenario) -> Iterator[MeasurementRecord]:
 
 
 def clean_bucket_series(scenario: Scenario) -> np.ndarray:
-    """S0_n alone, frames not kept; a simulated series carries the same as series.s0."""
-    sp, mask = scenario.speckle, scenario.object_mask
-    return np.array([bucket_signal(generate_frame(sp, n), mask) for n in range(1, scenario.count + 1)])
+    """S0_n alone from clean_blocks, frames not kept; run_blocks returns the same as run.s0."""
+    s0 = np.empty(scenario.count)
+    for _ in clean_blocks(scenario, s0):
+        pass
+    return s0
 
 
 def column_curve(series: MeasurementSeries, column: int) -> np.ndarray:
@@ -247,10 +237,10 @@ def patch_gsim_buckets(path, s: np.ndarray, width: int, height: int) -> None:
 
 
 def save_series(series: MeasurementSeries, path) -> None:
-    """Binary container: GSIM header, then one _gsim_record per ordinal, written series.block at a time."""
+    """Binary container: GSIM header, then one _gsim_record per ordinal, written one block_records block at a time."""
     with open(path, "wb") as fh:
         write_gsim_header(fh, series.width, series.height, len(series))
-        step = series.block
+        step = block_records(series.width, series.height)
         for a in range(0, len(series), step):
             write_gsim_records(fh, series.s[a : a + step], series.frames[a : a + step])
 
@@ -269,8 +259,8 @@ def load_series(path) -> MeasurementSeries:
         size, need = os.fstat(fh.fileno()).st_size, 20 + count * (8 + width * height * 4)
         if size < need:
             raise PgmFormatError(f"truncated container: {size} of {need} bytes")
-        if count < 2:
-            raise PgmFormatError(f"container holds {count} records; a series needs at least 2")
+        if count < 2 or width == 0 or height == 0:
+            raise PgmFormatError(f"container holds {count} records of {width}x{height}; a series needs 2, at least 1x1")
         records = np.fromfile(fh, dtype=_gsim_record(width, height), count=count)
     return MeasurementSeries(s=records["s"], frames=records["frame"])
 

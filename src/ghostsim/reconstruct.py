@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, PgmFormatError, memory_guard
-from .measurement import MeasurementRecord, MeasurementSeries, NoiseSpec, Scenario, _injector, clean_blocks
-from .measurement import patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
+from .measurement import MeasurementRecord, MeasurementSeries, Scenario, _injector, clean_blocks, clean_bucket_series
+from .measurement import block_records, patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
 
@@ -87,7 +87,7 @@ class BlockCorrelator:
 
 def _correlate(series: MeasurementSeries, gi: bool, igi: bool) -> BlockCorrelator:
     corr = BlockCorrelator(1, series.width * series.height, gi=gi, igi=igi)
-    s, step = np.asarray(series.s, dtype=np.float64), series.block
+    s, step = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height)
     for a in range(0, len(series), step):
         corr.push(s[None, a : a + step], series.frames[a : a + step])
     return corr
@@ -119,26 +119,24 @@ def run_blocks(scenario: Scenario, amplitude_rel_std: float | None = None, norma
                columns: tuple = (), gsim: Path | None = None) -> BlockRun:
     """Generate and reconstruct a scenario in clean_blocks, in O(N + block * width * height) memory.
 
-    gsim gets the .gsim records as each block finishes. At A/B a sinusoid or gaussian_white bucket is
-    S = S0 + A*u, u_n the unit-amplitude Q_n * coupling: rows S0 and u are correlated side by side and
-    combined as G0 + A*G1, so A = amplitude_rel_std * std(S0) needs no second pass, and a run and the
-    rerun of its resolved manifest take the same arithmetic. Other cases correlate S; where S depends on
-    a relative amplitude (position C, constant, poisson), an S0-only first pass resolves it. S comes
-    from _injector, bit-identical to simulate()'s.
+    The one resolver of amplitude_rel_std (A = amplitude_rel_std * std(S0), in run.scenario). gsim, in an
+    existing directory, gets the .gsim records as each block finishes. At A/B a sinusoid or gaussian_white
+    bucket is S = S0 + A*u, u_n the unit-amplitude Q_n * coupling: rows S0 and u are correlated side by
+    side and combined as G0 + A*G1, so A needs no second pass, and a run and the rerun of its resolved
+    manifest take the same arithmetic. Other cases correlate S; where S depends on A (position C,
+    constant, poisson), clean_bucket_series first resolves it. S is simulate()'s for run.scenario.
     """
     noise, kind = scenario.noise, scenario.noise.waveform.kind
     split = noise.position in ("A", "B") and kind in ("sinusoid", "gaussian_white")
-    if amplitude_rel_std is not None and not split and noise.position != "none" and kind != "off":
-        s0 = run_blocks(replace(scenario, noise=NoiseSpec())).s0
-        return run_blocks(resolve_amplitude(scenario, s0, amplitude_rel_std), None, normalization, columns, gsim)
     sp, n = scenario.speckle, scenario.count
     with memory_guard(f"count {n}", n * (2 + len(columns)) * 8):
         s0, s, curves = np.empty(n), np.empty(n), np.empty((len(columns), n))
+    if amplitude_rel_std is not None and not split and noise.position != "none" and kind != "off":
+        # S needs A during the pass; the pass makes the same S0, so resolving again at the end keeps this A
+        scenario = resolve_amplitude(scenario, clean_bucket_series(scenario), amplitude_rel_std)
     unit = replace(noise, waveform=replace(noise.waveform, amplitude=1.0))
     inject = _injector(replace(scenario, noise=unit) if split else scenario)
     corr = BlockCorrelator(1 + split, sp.width * sp.height)
-    if gsim is not None:
-        Path(gsim).parent.mkdir(parents=True, exist_ok=True)
     with (open(gsim, "wb") if gsim is not None else nullcontext()) as fh:
         if fh is not None:
             write_gsim_header(fh, sp.width, sp.height, n)
@@ -276,6 +274,8 @@ def load_f64(path) -> np.ndarray:
     version, width, height = struct.unpack("<III", buf[4:16])
     if version != _F64_VERSION:
         raise PgmFormatError(f"unsupported GF64 version {version}")
+    if width == 0 or height == 0:
+        raise PgmFormatError(f"GF64 image is {width}x{height}; both must be positive")
     need = 16 + width * height * 8
     if len(buf) < need:
         raise PgmFormatError(f"truncated GF64 data: {len(buf)} of {need} bytes")

@@ -1,7 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from ghostsim import MeasurementSeries
+
+# hypothesis caches source constants and a unicode table in ./.hypothesis unless pointed elsewhere
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "ghostsim-hypothesis"))
 
 
 def assert_close_rel(actual, expected, rtol, context=""):

@@ -59,9 +59,9 @@ def small_series_set():
 @pytest.fixture(scope="session")
 def clean_run():
     """The clean preset, simulated once and shared; build time is recorded."""
-    scenario, rel_std = build_scenario(_parsed_preset("clean"))
+    scenario = build_scenario(_parsed_preset("clean"))[0]
     start = time.time()
-    series = simulate(scenario, rel_std)
+    series = simulate(scenario)
     return {"series": series, "scenario": scenario, "sim_seconds": time.time() - start}
 
 
@@ -182,7 +182,7 @@ def test_criterion_7_reference_noise_hits_gi_only(clean_run):
     gi_clean = pearson(gi_reconstruct(clean_series), _TRUTH)
     igi_clean = pearson(igi_reconstruct(clean_series), _TRUTH)
 
-    series = simulate(*build_scenario(_parsed_preset("position-C-half")))
+    series = simulate(build_scenario(_parsed_preset("position-C-half"))[0])
     gi_noisy = pearson(gi_reconstruct(series), _TRUTH)
     igi_noisy = pearson(igi_reconstruct(series), _TRUTH)
 

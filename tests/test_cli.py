@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghostsim import column_curve, load_f64, load_mask, save_mask, save_series, simulate, write_curve_csv
+from ghostsim import clean_bucket_series, column_curve, load_f64, load_mask, save_mask, save_series, simulate
+from ghostsim import write_curve_csv
 from ghostsim.cli import evaluate, main
 from ghostsim.presets import PRESET_NAMES, preset_config
 from ghostsim.config import build_scenario, parse_config_text
@@ -186,10 +187,17 @@ def test_non_finite_reconstruction_exits_3(tmp_path, capsys):
     # a bucket offset of 1e308 overflows the bucket mean, so GI is NaN
     cfg = _small_cfg(tmp_path, position="B", kind="constant", amplitude=1e308)
     out = tmp_path / "out"
+    for emit_frames in (False, True):  # with frames, the run has started out/series.gsim before GI is checked
+        data = json.loads(cfg.read_text())
+        data["output"] = {"emit_frames": emit_frames}
+        cfg.write_text(json.dumps(data))
+        assert main(["run", str(cfg), "--out", str(out / "nested")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "GI image" in err[0]
+        assert not out.exists()
+    out.mkdir()  # a directory the run did not create stays, without the container
     assert main(["run", str(cfg), "--out", str(out)]) == 3
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "GI image" in err[0]
-    assert not out.exists()
+    assert list(out.iterdir()) == []
     assert main(["sweep", str(cfg), "--axis", "noise-amplitude", "--values", "1,1e308", "--out", str(out)]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[1].endswith(",ok") and "error: the GI image has non-finite pixels" in rows[2]
@@ -412,7 +420,14 @@ def test_block_engine_matches_materialized_run(tmp_path, case):
     out, ref = tmp_path / "out", tmp_path / "ref"
     assert main(["run", str(path), "--out", str(out)]) == 0
 
-    series = simulate(*build_scenario(parse_config_text(path.read_text())))
+    # the reference materializes the resolved scenario the manifest records
+    manifest = (out / "manifest.json").read_text()
+    scenario = build_scenario(parse_config_text(manifest))[0]
+    noise = _ENGINE_CASES[case]
+    if "amplitude_rel_std" in noise:
+        clean = clean_bucket_series(scenario)
+        assert scenario.noise.waveform.amplitude == noise["amplitude_rel_std"] * float(clean.std())
+    series = simulate(scenario)
     ref.mkdir()
     write_curve_csv(series.s, ref / "bucket_curve.csv")
     write_curve_csv(column_curve(series, 4), ref / "column_curve_left.csv")

@@ -1,7 +1,5 @@
 import json
-import os
 import re
-import tempfile
 
 import numpy as np
 import pytest
@@ -10,9 +8,6 @@ from hypothesis import strategies as st
 
 from ghostsim import ConfigurationError, ContractError, PgmFormatError, save_mask
 from ghostsim.config import _SCHEMA, load_config, parse_config_text
-
-# hypothesis caches source constants and a unicode table in ./.hypothesis unless pointed elsewhere
-os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "ghostsim-hypothesis"))
 
 _MINIMAL = """{
   "speckle": {"width": 16, "height": 16},

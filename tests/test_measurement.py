@@ -3,8 +3,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ghostsim.measurement as measurement
+import ghostsim.reconstruct as reconstruct
 from ghostsim import (
     ConfigurationError,
     ContractError,
@@ -20,13 +23,19 @@ from ghostsim import (
     clean_bucket_series,
     column_curve,
     generate_frame,
+    gi_reconstruct,
+    igi_reconstruct,
+    load_f64,
     load_series,
     noise_value,
+    run_blocks,
+    save_f64,
     save_series,
     simulate,
     simulate_stream,
     write_curve_csv,
 )
+from ghostsim.pgm import read_pgm, write_pgm
 
 _SP = SpeckleParams(width=16, height=16, seed=5)
 _MASK = builtin_mask("disk", 16, 16)
@@ -133,22 +142,37 @@ def test_simulate_keeps_the_clean_bucket():
     wf = NoiseWaveform(kind="sinusoid", amplitude=300.0, frequency=2.0, sample_rate=25.0)
     clean = clean_bucket_series(_scenario())
     for pos, spatial in (("none", None), ("A", None), ("B", None), ("C", SpatialNoiseMask(region="full"))):
-        series = simulate(_scenario(position=pos, waveform=wf, spatial=spatial))
-        assert np.array_equal(series.s0, clean)
+        scenario = _scenario(position=pos, waveform=wf, spatial=spatial)
+        run = run_blocks(scenario)
+        assert np.array_equal(run.s0, clean)
+        assert run.scenario is scenario  # an absolute amplitude is left as given
+        assert np.array_equal(run.s, simulate(scenario).s)
 
 
-def test_relative_amplitude_resolves_from_the_same_pass():
+def test_relative_amplitude_resolves_from_the_same_pass(monkeypatch):
     wf = NoiseWaveform(kind="sinusoid", amplitude=0.0, frequency=2.0, sample_rate=25.0)
     scenario = _scenario(position="B", waveform=wf)
-    series = simulate(scenario, amplitude_rel_std=3.0)
     clean = clean_bucket_series(scenario)
-    resolved = series.scenario.noise.waveform
+    frames = []
+    real = measurement.generate_frame
+    monkeypatch.setattr(measurement, "generate_frame", lambda params, n: frames.append(n) or real(params, n))
+    run = run_blocks(scenario, amplitude_rel_std=3.0)
+    assert frames == list(range(1, 13))  # N frames: S0 comes from the pass that makes them
+    resolved = run.scenario.noise.waveform
     assert resolved.amplitude == 3.0 * float(clean.std())
-    assert np.array_equal(series.s, clean + np.array([noise_value(resolved, n) for n in range(1, 13)]))
+    assert np.array_equal(run.s0, clean)
+    assert np.array_equal(run.s, clean + np.array([noise_value(resolved, n) for n in range(1, 13)]))
     assert scenario.noise.waveform.amplitude == 0.0  # the input scenario is left as it was
+    # a poisson S needs A during the pass: S0 alone first (clean_bucket_series), then one engine pass
+    correlators, frames[:] = [], []
+    real_correlator = reconstruct.BlockCorrelator
+    monkeypatch.setattr(reconstruct, "BlockCorrelator", lambda *a: correlators.append(a) or real_correlator(*a))
+    poisson = run_blocks(_scenario(position="B", waveform=NoiseWaveform(kind="poisson", seed=3)), amplitude_rel_std=3.0)
+    assert len(frames) == 24 and len(correlators) == 1
+    assert poisson.scenario.noise.waveform.amplitude == resolved.amplitude
     flat = Scenario(speckle=_SP, object_mask=np.zeros((16, 16)), count=12)
     with pytest.raises(ConfigurationError):
-        simulate(flat, amplitude_rel_std=1.0)
+        run_blocks(flat, amplitude_rel_std=1.0)
 
 
 def test_digest_tracks_parameters():
@@ -218,6 +242,13 @@ def test_series_container_errors(tmp_path):
     with pytest.raises(PgmFormatError):
         load_series(bad_version)
 
+    zero_width = tmp_path / "d.bin"  # 3 records of 8 bytes each pass the size check
+    zero_width.write_bytes(struct.pack("<4sIIII", b"GSIM", 1, 0, 16, 3) + data[20:])
+    with pytest.raises(PgmFormatError):
+        load_series(zero_width)
+    with pytest.raises(ContractError):
+        MeasurementSeries(s=np.zeros(3), frames=np.zeros((3, 16, 0)))
+
 
 def test_series_container_hand_packed_layout(tmp_path):
     # packed by hand to the documented layout: header, then per record <f8 bucket and <f4 frame, row-major
@@ -268,6 +299,44 @@ def test_series_container_rejects_oversized_headers_before_allocating(tmp_path, 
     for path in (too_many, huge, empty):
         with pytest.raises(PgmFormatError):
             load_series(path)
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """Bytes of a valid 3-record 4x3 .gsim, a 3x2 .f64 and a 4x3 8-bit PGM, and a directory to write edits to."""
+    directory = tmp_path_factory.mktemp("formats")
+    rng = np.random.Generator(np.random.PCG64(4))
+    save_series(MeasurementSeries(s=rng.normal(size=3), frames=rng.exponential(size=(3, 3, 4))), directory / "v.gsim")
+    save_f64(rng.normal(size=(2, 3)), directory / "v.f64")
+    write_pgm(directory / "v.pgm", rng.integers(0, 256, size=(3, 4)), 255)
+    return directory, {fmt: (directory / f"v.{fmt}").read_bytes() for fmt in ("gsim", "f64", "pgm")}
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(fmt=st.sampled_from(["gsim", "f64", "pgm"]), at=st.integers(0, 400), byte=st.none() | st.integers(0, 255))
+@example(fmt="gsim", at=8, byte=0)  # width 0: 3 records of 8 bytes pass the size check
+@example(fmt="f64", at=12, byte=0)  # height 0
+def test_any_truncation_or_byte_edit_loads_or_raises_format_error(valid_files, fmt, at, byte):
+    """byte None truncates the file at `at`; otherwise the byte at `at` (modulo the size) becomes `byte`."""
+    directory, files = valid_files
+    data = bytearray(files[fmt])
+    if byte is None:
+        del data[at % len(data):]
+    else:
+        data[at % len(data)] = byte
+    path = directory / f"edited.{fmt}"
+    path.write_bytes(data)
+    try:
+        loaded = {"gsim": load_series, "f64": load_f64, "pgm": lambda p: read_pgm(p)[0]}[fmt](path)
+    except PgmFormatError:
+        return
+    if fmt != "gsim":
+        assert loaded.size > 0
+        return
+    with np.errstate(all="ignore"):  # edited frames may hold NaN or inf
+        gi_reconstruct(loaded)
+        igi_reconstruct(loaded)
+    save_series(loaded, directory / "again.gsim")
 
 
 def test_curve_csv_round_trip(tmp_path):

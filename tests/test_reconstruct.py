@@ -20,7 +20,7 @@ from ghostsim import (
     simulate,
     validity_diagnostic,
 )
-from ghostsim.measurement import Scenario
+from ghostsim.measurement import Scenario, block_records
 from ghostsim.speckle import SpeckleParams
 
 from conftest import assert_close_rel, oracle_covariance_image, synthetic_series
@@ -58,7 +58,7 @@ def test_gi_blocked_accumulation_spans_block_boundary():
 def test_blocks_are_bounded_in_bytes_above_64x64(tmp_path):
     # 128x128 holds 64 records per block (8 MB of f64 frames), so 600 records span ten blocks
     series = synthetic_series(11, count=600, width=128, height=128)
-    assert series.block == 64
+    assert block_records(128, 128) == 64
     flat = series.frames.reshape(600, -1)
     gi = (series.s - series.s.mean()) @ (flat - flat.mean(axis=0)) / 600
     igi = np.diff(series.s) @ np.diff(flat, axis=0) / (2 * 599)
