@@ -34,28 +34,23 @@ from .scene import builtin_mask, save_mask
 SWEEP_AXES = ("noise-amplitude", "noise-frequency", "N")
 
 
-def evaluate(cfg: dict, out_dir: Path | None = None) -> tuple[BlockRun, dict, ValidityReport]:
-    """Run a validated config through run_blocks: the run, the resolved config and its validity report.
+def evaluate(cfg: dict, out_dir: Path | None = None) -> tuple[BlockRun, ValidityReport]:
+    """Run a validated config through run_blocks and judge it: the run and its validity report.
 
     With out_dir, emit_curves keeps the quarter and three-quarter column curves and emit_frames writes
-    out_dir/series.gsim. Validity is judged against the clean bucket S0 of the same pass, whatever the
-    position. A non-finite GI or IGI pixel is a DegenerateInputError.
+    out_dir/series.gsim; nothing else is written. Validity is judged against the clean bucket S0 of the
+    same pass, whatever the position. A non-finite GI or IGI pixel is a DegenerateInputError.
     """
     output, width = cfg["output"], cfg["speckle"]["width"]
     columns = (width // 4, (3 * width) // 4) if out_dir and output["emit_curves"] else ()
     gsim = out_dir / "series.gsim" if out_dir and output["emit_frames"] else None
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
         run = run_blocks(*build_scenario(cfg), output["igi_normalization"], columns, gsim)
-    waveform = run.scenario.noise.waveform
-    resolved = json.loads(json.dumps(cfg))  # deep copy, JSON types only
-    if "amplitude_rel_std" in resolved["noise"]:
-        resolved["noise"].pop("amplitude_rel_std")
-        resolved["noise"]["amplitude"] = waveform.amplitude
-    validity = validity_diagnostic(run.s0, waveform, coupling=run.scenario.bucket_coupling)
+    validity = validity_diagnostic(run.s0, run.scenario.noise.waveform, coupling=run.scenario.bucket_coupling)
     for name, image in (("GI", run.gi), ("IGI", run.igi)):
         if not np.isfinite(image).all():
             raise DegenerateInputError(f"the {name} image has non-finite pixels; the measurement exceeds float64 range")
-    return run, resolved, validity
+    return run, validity
 
 
 def _write_json(obj, path: Path) -> None:
@@ -63,33 +58,37 @@ def _write_json(obj, path: Path) -> None:
 
 
 def run_scenario(cfg: dict, out_dir: Path) -> dict:
-    """Simulate, reconstruct, measure, and write the full artifact set; a failed run removes what it wrote."""
+    """Judge the run (evaluate, then the GI and IGI quality reports) inside one guard, then write its artifacts.
+
+    A run that fails before its artifacts are written removes its series.gsim and every directory it created.
+    """
     created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        run, embedded, validity = evaluate(cfg, out_dir)
+        run, validity = evaluate(cfg, out_dir)
+        images = {"gi": run.gi, "igi": run.igi}
+        reports = {name: quality_report(image, run.scenario.object_mask) for name, image in images.items()}
     except BaseException:
         if cfg["output"]["emit_frames"]:
             (out_dir / "series.gsim").unlink(missing_ok=True)
         for d in created:
             d.rmdir()
         raise
-    truth = run.scenario.object_mask
-    report_gi = quality_report(run.gi, truth)
-    report_igi = quality_report(run.igi, truth)
 
-    save_f64(run.gi, out_dir / "gi.f64")
-    save_f64(run.igi, out_dir / "igi.f64")
-    save_recon_pgm(run.gi, out_dir / "gi.pgm")
-    save_recon_pgm(run.igi, out_dir / "igi.pgm")
-    _write_json(report_gi.to_dict(), out_dir / "metrics_gi.json")
-    _write_json(report_igi.to_dict(), out_dir / "metrics_igi.json")
+    for name, image in images.items():
+        save_f64(image, out_dir / f"{name}.f64")
+        save_recon_pgm(image, out_dir / f"{name}.pgm")
+        _write_json(reports[name].to_dict(), out_dir / f"metrics_{name}.json")
     _write_json(validity.to_dict(), out_dir / "validity.json")
     write_curve_csv(run.s, out_dir / "bucket_curve.csv")
     for curve, side in zip(run.curves, ("left", "right")):  # slit-plane style curves
         write_curve_csv(curve, out_dir / f"column_curve_{side}.csv")
 
-    embedded["output"] = {k: v for k, v in embedded["output"].items() if k != "dir"}
+    embedded = json.loads(json.dumps(cfg))  # deep copy, JSON types only
+    del embedded["output"]["dir"]
+    if "amplitude_rel_std" in embedded["noise"]:  # the manifest records the resolved amplitude
+        del embedded["noise"]["amplitude_rel_std"]
+        embedded["noise"]["amplitude"] = run.scenario.noise.waveform.amplitude
     manifest = {
         "format": "ghostsim-manifest",
         "version": 1,
@@ -99,19 +98,8 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
         "clean_bucket_std": float(run.s0.std()),
     }
     _write_json(manifest, out_dir / "manifest.json")
-    return {
-        "out": str(out_dir),
-        "gi_pearson_r": report_gi.pearson_r,
-        "igi_pearson_r": report_igi.pearson_r,
-        "validity_flag": validity.flag,
-    }
-
-
-def _sweep_row(cfg: dict) -> list[float]:
-    """GI and IGI pearson r and the validity ratio."""
-    run, _, validity = evaluate(cfg)
-    truth = run.scenario.object_mask
-    return [pearson(run.gi, truth), pearson(run.igi, truth), validity.ratio]
+    gi_r, igi_r = reports["gi"].pearson_r, reports["igi"].pearson_r
+    return {"out": str(out_dir), "gi_pearson_r": gi_r, "igi_pearson_r": igi_r, "validity_flag": validity.flag}
 
 
 def _row_config(cfg: dict, axis: str, value: float) -> dict:
@@ -145,7 +133,10 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
         writer.writerow(["value", "gi_pearson_r", "igi_pearson_r", "validity_ratio", "status"])
         for value, row_cfg in rows:
             try:
-                writer.writerow([repr(float(value)), *map(repr, _sweep_row(row_cfg)), "ok"])
+                run, validity = evaluate(row_cfg)
+                scores = [pearson(image, run.scenario.object_mask) for image in (run.gi, run.igi)]
+                del run  # held into the next row, it costs sweep-N 8 MB of peak RSS: heap its frame blocks would reuse
+                writer.writerow([repr(float(value)), *map(repr, [*scores, validity.ratio]), "ok"])
             except GhostsimError as exc:
                 writer.writerow([repr(float(value)), "", "", "", f"error: {exc}"])
     return csv_path

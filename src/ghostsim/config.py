@@ -1,18 +1,10 @@
 """Scenario configuration: JSON schema, parsing, and the one path to a Scenario.
 
 parse_config_text walks the JSON against _SCHEMA, the one statement of each
-key's JSON type and default, checks the rules between keys, then builds the
-scenario once through build_scenario, whose domain constructors check every
-range and name. Every error carries <file>:<line> of its JSON path.
-
-Schema (* required; otherwise the default, or "-" for a key absent unless given):
-
-  speckle *  {width* int, height* int, grain_radius 2.0, mean_intensity 1.0, seed 0}
-  object *   exactly one of {builtin str} or {pgm str}
-  count *    int
-  noise      {position "none", kind "off", amplitude 0.0 | amplitude_rel_std -, frequency 0.0,
-              phase 0.0, sample_rate 25.0, seed 0, spatial null | {region* str, pgm - (custom only)}}
-  output     {dir "out", emit_curves true, emit_frames false, igi_normalization "unbiased"}
+key's JSON type and default (README "Config schema" has it as a table), checks
+the rules between keys, then builds the scenario once through build_scenario,
+whose domain constructors check every range and name. Every error carries
+<file>:<line> of its JSON path.
 
 Numbers become floats. amplitude_rel_std is the amplitude in units of the clean
 bucket's population std; run_blocks resolves it and the manifest records the result.
@@ -28,7 +20,7 @@ from .errors import ConfigurationError
 from .measurement import NoiseSpec, Scenario
 from .noise import NoiseWaveform, SpatialNoiseMask
 from .reconstruct import IGI_NORMALIZATIONS
-from .scene import builtin_mask, load_mask
+from .scene import builtin_mask, check_contrast, load_mask
 from .speckle import SpeckleParams
 
 _REQUIRED, _ABSENT = "required", "absent"
@@ -207,6 +199,8 @@ def build_scenario(cfg: dict) -> tuple[Scenario, float | None]:
         noise = NoiseSpec(waveform=waveform, position=nz["position"], spatial=spatial)
     with _section(""):
         scenario = Scenario(speckle=speckle, object_mask=mask, count=cfg["count"], noise=noise)
+        if "pgm" in obj:  # after Scenario's size check; builtin_mask checks its own
+            check_contrast(scenario.object_mask, "object mask", field="object_mask")
     return scenario, nz.get("amplitude_rel_std")
 
 

@@ -70,6 +70,9 @@ class Scenario:
             raise ConfigurationError(message, field="noise.spatial.custom_weights")
         if self.count < 2:
             raise ConfigurationError(f"count must be >= 2, got {self.count}", field="count")
+        wf = self.noise.waveform  # a count past numpy's index range fails later, with the GB it needs
+        if wf.kind == "sinusoid" and self.count < 2**63 and not np.isfinite(wf.angle(self.count)):
+            raise ConfigurationError("sinusoid angle 2*pi*f*t + phase overflows by the last step", field="noise.frequency")
         self.object_mask = mask
 
     @property

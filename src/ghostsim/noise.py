@@ -19,6 +19,7 @@ NOISE_KINDS = ("off", "constant", "sinusoid", "gaussian_white", "poisson")
 SPATIAL_REGIONS = ("full", "right_half", "double_slit_right_half", "custom")
 
 _STREAM_TAG = 0x4E4F4953  # "NOIS"
+_POISSON_MAX = np.iinfo(np.int64).max - 10 * math.sqrt(np.iinfo(np.int64).max)  # numpy's largest poisson mean
 
 
 @dataclass(frozen=True)
@@ -38,12 +39,18 @@ class NoiseWaveform:
                 raise ConfigurationError(f"{name} must be a finite number", field=name)
         if self.amplitude < 0.0:
             raise ConfigurationError("noise amplitude must be >= 0", field="amplitude")
+        if self.kind == "poisson" and self.amplitude > _POISSON_MAX:
+            raise ConfigurationError(f"poisson amplitude must be <= {_POISSON_MAX:.4g}", field="amplitude")
         if self.sample_rate <= 0.0:
             raise ConfigurationError("sample_rate must be > 0", field="sample_rate")
         if self.kind == "sinusoid" and self.frequency < 0.0:
             raise ConfigurationError("sinusoid frequency must be >= 0", field="frequency")
         if not 0 <= self.seed < 2**64:  # the Philox key word is 64 bits
             raise ConfigurationError("seed must be an integer in [0, 2**64)", field="seed")
+
+    def angle(self, n: int) -> float:
+        """The sinusoid's angle 2*pi*frequency*t + phase at ordinal n, t = (n - 1) / sample_rate; grows with n."""
+        return 2.0 * math.pi * self.frequency * ((n - 1) / self.sample_rate) + self.phase
 
 
 def noise_value(waveform: NoiseWaveform, n: int) -> float:
@@ -57,8 +64,7 @@ def noise_value(waveform: NoiseWaveform, n: int) -> float:
         return waveform.amplitude
     if k == "sinusoid":
         # midpoint convention: oscillates in [0, amplitude], so Q_1 = A/2 at phase 0
-        t = (n - 1) / waveform.sample_rate
-        return 0.5 * waveform.amplitude * (1.0 + math.sin(2.0 * math.pi * waveform.frequency * t + waveform.phase))
+        return 0.5 * waveform.amplitude * (1.0 + math.sin(waveform.angle(n)))
     if k == "gaussian_white":
         z = ordinal_rng(waveform.seed, _STREAM_TAG, n).standard_normal()
         return max(0.0, waveform.amplitude + 0.25 * waveform.amplitude * z)

@@ -18,6 +18,7 @@ kernel, BlockCorrelator, whatever the source of the frames.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
@@ -266,17 +267,17 @@ def save_f64(image: np.ndarray, path) -> None:
 
 def load_f64(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != _F64_MAGIC:
-        raise PgmFormatError("not a float64 image dump: missing GF64 magic")
-    if len(buf) < 16:
-        raise PgmFormatError("truncated GF64 header")
-    version, width, height = struct.unpack("<III", buf[4:16])
-    if version != _F64_VERSION:
-        raise PgmFormatError(f"unsupported GF64 version {version}")
-    if width == 0 or height == 0:
-        raise PgmFormatError(f"GF64 image is {width}x{height}; both must be positive")
-    need = 16 + width * height * 8
-    if len(buf) < need:
-        raise PgmFormatError(f"truncated GF64 data: {len(buf)} of {need} bytes")
-    return np.frombuffer(buf, dtype="<f8", count=width * height, offset=16).reshape(height, width).copy()
+        head = fh.read(16)
+        if head[:4] != _F64_MAGIC:
+            raise PgmFormatError("not a float64 image dump: missing GF64 magic")
+        if len(head) < 16:
+            raise PgmFormatError("truncated GF64 header")
+        version, width, height = struct.unpack("<III", head[4:])
+        if version != _F64_VERSION:
+            raise PgmFormatError(f"unsupported GF64 version {version}")
+        if width == 0 or height == 0:
+            raise PgmFormatError(f"GF64 image is {width}x{height}; both must be positive")
+        size, need = os.fstat(fh.fileno()).st_size, 16 + width * height * 8
+        if size < need:
+            raise PgmFormatError(f"truncated GF64 data: {size} of {need} bytes")
+        return np.fromfile(fh, dtype="<f8", count=width * height).reshape(height, width)

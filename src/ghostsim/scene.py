@@ -72,9 +72,13 @@ def builtin_mask(name: str, width: int, height: int) -> np.ndarray:
         raise ConfigurationError(f"unknown mask name {name!r}; choose from {BUILTIN_MASKS}")
     with memory_guard(f"a {width}x{height} mask", width * height * 8):
         mask = makers[name](width, height)
-    total = mask.sum()
-    if not 0.0 < total < width * height:
-        raise ConfigurationError(f"mask {name!r} degenerate at {width}x{height}")
+    return check_contrast(mask, f"mask {name!r} at {width}x{height}")
+
+
+def check_contrast(mask: np.ndarray, what: str, field: str | None = None) -> np.ndarray:
+    """The mask, if it transmits somewhere and blocks somewhere (0 < sum < w*h); else no image scores against it."""
+    if not 0.0 < mask.sum() < mask.size:
+        raise ConfigurationError(f"{what} is degenerate: it must transmit somewhere and block somewhere", field=field)
     return mask
 
 

@@ -1,13 +1,18 @@
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghostsim import clean_bucket_series, column_curve, load_f64, load_mask, save_mask, save_series, simulate
 from ghostsim import write_curve_csv
-from ghostsim.cli import evaluate, main
+from ghostsim.cli import SWEEP_AXES, evaluate, main
 from ghostsim.presets import PRESET_NAMES, preset_config
+from ghostsim.scene import BUILTIN_MASKS
 from ghostsim.config import build_scenario, parse_config_text
 
 from conftest import assert_close_rel
@@ -183,18 +188,41 @@ def test_wrong_size_pgms_exit_2_with_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_uniform_object_pgm_exits_2_before_any_frame(tmp_path, capsys, monkeypatch):
+    calls = _count_frames(monkeypatch)
+    text = '{\n  "speckle": {"width": 16, "height": 16},\n  "count": 3000,\n  "object": {"pgm": "%s"}\n}'
+    for fill in (0.0, 1.0):  # transmits nowhere, everywhere
+        save_mask(np.full((16, 16), fill), tmp_path / "m.pgm")
+        path = tmp_path / "object.json"
+        path.write_text(text % (tmp_path / "m.pgm"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:4: object.pgm: ")
+    assert calls == [] and not (tmp_path / "out").exists()
+    # all-ones custom weights are a legal region
+    weights = {"region": "custom", "pgm": str(tmp_path / "m.pgm")}
+    cfg = _small_cfg(tmp_path, position="C", kind="constant", amplitude=4.0, spatial=weights)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_non_finite_reconstruction_exits_3(tmp_path, capsys):
     # a bucket offset of 1e308 overflows the bucket mean, so GI is NaN
     cfg = _small_cfg(tmp_path, position="B", kind="constant", amplitude=1e308)
+    # one blocking pixel reconstructs, then fails while scored: cnr needs two background pixels
+    blocked = np.ones((16, 16))
+    blocked[3, 4] = 0.0
+    save_mask(blocked, pgm := tmp_path / "blocked.pgm")
+    scored = tmp_path / "scored.json"
+    scored.write_text(json.dumps({"speckle": {"width": 16, "height": 16}, "object": {"pgm": str(pgm)}, "count": 40}))
     out = tmp_path / "out"
-    for emit_frames in (False, True):  # with frames, the run has started out/series.gsim before GI is checked
-        data = json.loads(cfg.read_text())
-        data["output"] = {"emit_frames": emit_frames}
-        cfg.write_text(json.dumps(data))
-        assert main(["run", str(cfg), "--out", str(out / "nested")]) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "GI image" in err[0]
-        assert not out.exists()
+    for path, message in ((cfg, "GI image"), (scored, "two background pixels")):
+        for emit_frames in (False, True):  # with frames, the run has started out/series.gsim before it fails
+            data = json.loads(path.read_text())
+            data["output"] = {"emit_frames": emit_frames}
+            path.write_text(json.dumps(data))
+            assert main(["run", str(path), "--out", str(out / "nested")]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+            assert not out.exists()
     out.mkdir()  # a directory the run did not create stays, without the container
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     assert list(out.iterdir()) == []
@@ -318,6 +346,24 @@ def test_sweep_n_axis_requires_integers(tmp_path, capsys):
     cfg = _small_cfg(tmp_path)
     assert main(["sweep", str(cfg), "--axis", "N", "--values", "10,20", "--out", str(tmp_path / "s")]) == 0
     assert main(["sweep", str(cfg), "--axis", "N", "--values", "10.5", "--out", str(tmp_path / "s2")]) == 2
+
+
+def test_preset_writes_out_name_and_its_manifest_replays(tmp_path, monkeypatch):
+    import ghostsim.cli as cli
+
+    def small(name):
+        cfg = preset_config(name)
+        cfg["speckle"].update(width=16, height=16)
+        cfg["count"] = 40
+        return cfg
+
+    monkeypatch.setattr(cli, "preset_config", small)
+    monkeypatch.chdir(tmp_path)
+    assert main(["preset", "position-B"]) == 0
+    out = tmp_path / "out-position-B"
+    assert main(["run", str(out / "manifest.json"), "--out", "replay"]) == 0
+    for name in _ARTIFACTS:
+        assert (out / name).read_bytes() == (tmp_path / "replay" / name).read_bytes(), name
 
 
 def test_preset_configs_are_valid():
@@ -460,3 +506,75 @@ def test_evaluate_holds_no_frame_cube(tmp_path):
         tracemalloc.stop()
     assert run.curves.shape == (2, 4000)
     assert peak < 32e6, f"evaluate peaked at {peak / 1e6:.1f} MB"
+
+
+_REGIONS = st.sampled_from(["full", "right_half", "double_slit_right_half"])
+_AMOUNTS = st.sampled_from([0.0, 1.0, 50.0, 1e308, -1.0]) | st.floats(0.0, 1e3)
+_NOISE = st.fixed_dictionaries({
+    "position": st.sampled_from(["none", "A", "B", "C"]),
+    "kind": st.sampled_from(["off", "constant", "sinusoid", "gaussian_white", "poisson"]),
+    "frequency": st.sampled_from([0.0, 0.5, 5.0]),
+    "seed": st.integers(0, 3),
+    "spatial": st.none() | st.fixed_dictionaries({"region": _REGIONS}),
+})
+# a PGM mask: one fill level, then a few pixels set to other levels
+_PGM = st.tuples(
+    st.sampled_from([0, 255]) | st.integers(0, 255),
+    st.lists(st.tuples(st.integers(0, 255), st.sampled_from([0, 255]) | st.integers(0, 255)), max_size=4),
+)
+_VALUES = st.lists(st.sampled_from(["0", "1", "2.5", "3", "40", "-1", "1e308", "nan"]), min_size=1, max_size=3)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    size=st.tuples(st.integers(8, 16), st.integers(8, 16)),
+    count=st.integers(0, 40),
+    builtin=st.none() | st.sampled_from(BUILTIN_MASKS),
+    pgm=_PGM,
+    noise=st.none() | _NOISE,
+    amount=st.tuples(st.booleans(), _AMOUNTS),
+    emit_frames=st.booleans(),
+    sweep=st.none() | st.tuples(st.sampled_from(SWEEP_AXES), _VALUES),
+)
+@example(  # one blocking pixel: fails while scored, after series.gsim is started
+    size=(16, 16), count=40, builtin=None, pgm=(255, [(52, 0)]), noise=None, amount=(False, 0.0),
+    emit_frames=True, sweep=None,
+)
+@example(  # a poisson mean past numpy's limit: numpy's ValueError
+    size=(8, 8), count=2, builtin="disk", pgm=(0, []), amount=(False, 0.0), emit_frames=False,
+    noise={"position": "A", "kind": "poisson", "frequency": 0.0, "seed": 0, "spatial": None},
+    sweep=("noise-amplitude", ["1e308"]),
+)
+@example(  # 2*pi*f*t past float range: math.sin(inf) raised
+    size=(8, 8), count=2, builtin="disk", pgm=(0, []), amount=(False, 0.0), emit_frames=False,
+    noise={"position": "A", "kind": "sinusoid", "frequency": 0.0, "seed": 0, "spatial": None},
+    sweep=("noise-frequency", ["1e308"]),
+)
+def test_main_exits_0_2_3_or_4_and_a_failed_run_leaves_nothing(
+    size, count, builtin, pgm, noise, amount, emit_frames, sweep
+):
+    (width, height), (relative, value) = size, amount
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = {"speckle": {"width": width, "height": height}, "count": count, "output": {"emit_frames": emit_frames}}
+        if builtin is None:
+            fill, pixels = pgm
+            levels = np.full(width * height, fill, dtype=np.uint8)
+            for at, level in pixels:
+                levels[at % levels.size] = level
+            save_mask(levels.reshape(height, width) / 255.0, tmp / "mask.pgm")
+            cfg["object"] = {"pgm": str(tmp / "mask.pgm")}
+        else:
+            cfg["object"] = {"builtin": builtin}
+        if noise is not None:
+            cfg["noise"] = {**noise, "amplitude_rel_std" if relative else "amplitude": value}
+        (tmp / "cfg.json").write_text(json.dumps(cfg))
+        out = tmp / "made" / "out"
+        if sweep is None:
+            code = main(["run", str(tmp / "cfg.json"), "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            assert (code == 0) == (tmp / "made").exists()
+        else:
+            axis, values = sweep  # --values=V: a first value of -1 is not an option
+            argv = ["sweep", str(tmp / "cfg.json"), "--axis", axis, f"--values={','.join(values)}", "--out", str(out)]
+            assert main(argv) in (0, 2, 3, 4)

@@ -229,6 +229,7 @@ _ALL_KEYS = """{
         ('"kind": "sinusoid"', '"kind": "bogus"', 15, "noise.kind"),
         ('"amplitude": 1.0', '"amplitude": -1', 16, "noise.amplitude"),
         ('"frequency": 1.0', '"frequency": -1', 17, "noise.frequency"),
+        ('"frequency": 1.0', '"frequency": 1e308', 17, "noise.frequency"),  # 2*pi*f*t overflows: math.sin(inf) raised
         ('"sample_rate": 25.0', '"sample_rate": 0', 18, "noise.sample_rate"),
         ('"seed": 0\n  }\n}', '"seed": -1\n  }\n}', 19, "noise.seed"),
         ('"seed": 0\n  }\n}', '"seed": 0,\n    "spatial": {"region": "bogus"}\n  }\n}', 20, "noise.spatial.region"),
@@ -236,7 +237,7 @@ _ALL_KEYS = """{
     ids=[
         "width", "height", "grain_radius", "mean_intensity", "speckle-seed", "speckle-seed-2**64", "builtin-name",
         "builtin-grid", "count", "position-name", "position-C-without-spatial", "kind", "amplitude", "frequency",
-        "sample_rate", "noise-seed", "spatial-region",
+        "frequency-overflow", "sample_rate", "noise-seed", "spatial-region",
     ],
 )
 def test_range_and_name_errors_carry_line_and_json_path(old, new, line, json_path):
@@ -244,6 +245,23 @@ def test_range_and_name_errors_carry_line_and_json_path(old, new, line, json_pat
     with pytest.raises(ConfigurationError) as err:
         parse_config_text(_ALL_KEYS.replace(old, new), path="x.json")
     assert str(err.value).startswith(f"x.json:{line}: {json_path}: ")
+
+
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ('"amplitude": 1.0', '"amplitude_rel_std": -1', 16, "noise.amplitude_rel_std must be >= 0"),
+        ('"seed": 0\n  }\n}', '"seed": 0,\n    "spatial": {"region": "custom"}\n  }\n}', 20, "requires a pgm weights path"),
+        ('"seed": 0\n  }\n}', '"seed": 0,\n    "spatial": {"region": "full", "pgm": "w.pgm"}\n  }\n}', 20, "spatial.pgm only applies"),
+        ('"seed": 0\n  }\n}', '"seed": 0\n  },\n  "output": {"igi_normalization": "bogus"}\n}', 21, "igi_normalization must be one of"),
+    ],
+    ids=["negative-amplitude_rel_std", "custom-without-pgm", "pgm-without-custom", "igi_normalization"],
+)
+def test_rules_between_keys_carry_line(old, new, line, message):
+    assert _ALL_KEYS.count(old) == 1
+    with pytest.raises(ConfigurationError) as err:
+        parse_config_text(_ALL_KEYS.replace(old, new), path="x.json")
+    assert str(err.value).startswith(f"x.json:{line}: ") and message in str(err.value)
 
 
 def _schema_paths(table: dict, path: tuple = ()) -> list:

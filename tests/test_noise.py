@@ -97,6 +97,8 @@ def test_waveform_validation():
         NoiseWaveform(kind="sinusoid", amplitude=1.0, sample_rate=0.0)
     with pytest.raises(ConfigurationError):
         NoiseWaveform(kind="poisson", amplitude=1.0, seed=-4)
+    with pytest.raises(ConfigurationError):
+        NoiseWaveform(kind="poisson", amplitude=1e19)  # past numpy's largest poisson mean (about 9.22e18)
 
 
 @pytest.mark.parametrize("name", ["amplitude", "frequency", "phase", "sample_rate"])
