@@ -4,8 +4,9 @@ Runs Monte Carlo sweeps over seeds for the speckle statistics, the noise
 step-bound violation rates, and the preset-scale reconstruction quality
 numbers, then writes calibration/calibration.json (machine-readable) and
 calibration/calibration.md (the summary the test thresholds cite). Preset
-runs go through reconstruct.run_blocks, the path `ghostsim preset` takes and
-the one place a relative noise amplitude is resolved, so no frame cube is built.
+runs go through reconstruct.run_blocks, the path `ghostsim preset` takes, whose
+block pass is the one place a relative noise amplitude is resolved, so no frame
+cube is built. The breakdown sweep's nine amplitude rows share one frame pass.
 
 Everything here is seeded and deterministic. A rerun reproduces
 calibration.md exactly; calibration.json agrees to about 1e-16 relative,

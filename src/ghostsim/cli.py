@@ -27,30 +27,34 @@ from .measurement import write_curve_csv
 from .measurement import clean_bucket_series, column_curve, save_series, simulate  # noqa: F401
 from .metrics import pearson, quality_report
 from .presets import PRESET_NAMES, preset_config
-from .reconstruct import BlockRun, ValidityReport, run_blocks, save_f64, save_recon_pgm, validity_diagnostic
+from .reconstruct import BlockRun, ValidityReport, block_pass, run_blocks, save_f64, save_recon_pgm, splits, validity_diagnostic
 from .reconstruct import gi_reconstruct, igi_reconstruct  # noqa: F401  patched by name, as above
 from .scene import builtin_mask, save_mask
 
 SWEEP_AXES = ("noise-amplitude", "noise-frequency", "N")
 
 
-def evaluate(cfg: dict, out_dir: Path | None = None) -> tuple[BlockRun, ValidityReport]:
-    """Run a validated config through run_blocks and judge it: the run and its validity report.
-
-    With out_dir, emit_curves keeps the quarter and three-quarter column curves and emit_frames writes
-    out_dir/series.gsim; nothing else is written. Validity is judged against the clean bucket S0 of the
-    same pass, whatever the position. A non-finite GI or IGI pixel is a DegenerateInputError.
-    """
-    output, width = cfg["output"], cfg["speckle"]["width"]
-    columns = (width // 4, (3 * width) // 4) if out_dir and output["emit_curves"] else ()
-    gsim = out_dir / "series.gsim" if out_dir and output["emit_frames"] else None
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, as one error
-        run = run_blocks(*build_scenario(cfg), output["igi_normalization"], columns, gsim)
+def _judge(run: BlockRun) -> ValidityReport:
+    """Validity against the clean bucket S0 of the run's pass; a non-finite GI or IGI pixel is a DegenerateInputError."""
     validity = validity_diagnostic(run.s0, run.scenario.noise.waveform, coupling=run.scenario.bucket_coupling)
     for name, image in (("GI", run.gi), ("IGI", run.igi)):
         if not np.isfinite(image).all():
             raise DegenerateInputError(f"the {name} image has non-finite pixels; the measurement exceeds float64 range")
-    return run, validity
+    return validity
+
+
+def evaluate(cfg: dict, out_dir: Path | None = None) -> tuple[BlockRun, ValidityReport]:
+    """Run a validated config through run_blocks and judge it: the run and its validity report.
+
+    With out_dir, emit_curves keeps the quarter and three-quarter column curves and emit_frames writes
+    out_dir/series.gsim; nothing else is written.
+    """
+    output, width = cfg["output"], cfg["speckle"]["width"]
+    columns = (width // 4, (3 * width) // 4) if out_dir and output["emit_curves"] else ()
+    gsim = out_dir / "series.gsim" if out_dir and output["emit_frames"] else None
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _judge, as one error
+        run = run_blocks(*build_scenario(cfg), output["igi_normalization"], columns, gsim)
+    return run, _judge(run)
 
 
 def _write_json(obj, path: Path) -> None:
@@ -102,8 +106,8 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
     return {"out": str(out_dir), "gi_pearson_r": gi_r, "igi_pearson_r": igi_r, "validity_flag": validity.flag}
 
 
-def _row_config(cfg: dict, axis: str, value: float) -> dict:
-    """The base config with one axis value set, checked by the same constructors as a run."""
+def _row_scenario(cfg: dict, axis: str, value: float) -> tuple:
+    """The base config with one axis value set, built as a run builds it: (Scenario, amplitude_rel_std)."""
     row_cfg = json.loads(json.dumps(cfg))
     if axis == "noise-amplitude":
         row_cfg["noise"].pop("amplitude_rel_std", None)
@@ -115,41 +119,54 @@ def _row_config(cfg: dict, axis: str, value: float) -> dict:
             raise ConfigurationError(f"N sweep values must be integers, got {value}")
         row_cfg["count"] = int(value)
     try:
-        build_scenario(row_cfg)
+        return build_scenario(row_cfg)
     except ConfigurationError as exc:
         raise ConfigurationError(f"sweep value {value!r}: {exc.field}: {exc}") from exc
-    return row_cfg
 
 
 def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
-    """Re-run the base config along one axis; one CSV row per value, all values checked first."""
+    """One CSV row per value of one axis, each scored as a run of its config; all values are checked first.
+
+    One block_pass serves the rows that differ only in N (given no amplitude_rel_std, or a bucket that splits) or
+    in a split amplitude; others take a pass each. A failed pass fails its longest rows; the rest pass again.
+    """
     if axis not in SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    rows = [(value, _row_config(cfg, axis, value)) for value in values]
+    if not values:
+        raise ConfigurationError("sweep needs at least one value")
+    rows = [_row_scenario(cfg, axis, value) for value in values]
+    (base, rel), normalization = rows[0], cfg["output"]["igi_normalization"]
+    shared = splits(base.noise) and axis != "noise-frequency" or axis == "N" and rel is None
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w", newline="") as fh:
+    csv_path, fields = out_dir / "sweep.csv", {}
+    with open(csv_path, "w", newline="") as fh, np.errstate(over="ignore", invalid="ignore"):  # _judge reports non-finite images
+        while len(fields) < len(rows):
+            pending = [i for i in range(len(rows)) if i not in fields][: None if shared else 1]
+            top, rel = max((rows[i] for i in pending), key=lambda row: row[0].count)
+            try:
+                finish = block_pass(top, rel, normalization, stops=frozenset(rows[i][0].count for i in pending))
+            except GhostsimError as exc:
+                fields.update({i: ["", "", "", f"error: {exc}"] for i in pending if rows[i][0].count == top.count})
+                continue
+            for i in pending:
+                try:
+                    validity = _judge(run := finish(rows[i][0]))
+                    scores = [pearson(image, run.scenario.object_mask) for image in (run.gi, run.igi)]
+                    fields[i] = [*map(repr, [*scores, validity.ratio]), "ok"]
+                except GhostsimError as exc:
+                    fields[i] = ["", "", "", f"error: {exc}"]
+            finish = run = None  # held into the next pass, they cost peak RSS: heap its frame block would reuse
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["value", "gi_pearson_r", "igi_pearson_r", "validity_ratio", "status"])
-        for value, row_cfg in rows:
-            try:
-                run, validity = evaluate(row_cfg)
-                scores = [pearson(image, run.scenario.object_mask) for image in (run.gi, run.igi)]
-                del run  # held into the next row, it costs sweep-N 8 MB of peak RSS: heap its frame blocks would reuse
-                writer.writerow([repr(float(value)), *map(repr, [*scores, validity.ratio]), "ok"])
-            except GhostsimError as exc:
-                writer.writerow([repr(float(value)), "", "", "", f"error: {exc}"])
+        writer.writerows([repr(float(value)), *fields[i]] for i, value in enumerate(values))
     return csv_path
 
 
 def _parse_values(text: str) -> list[float]:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise ConfigurationError(f"bad sweep values {text!r}: {exc}") from exc
-    if not values:
-        raise ConfigurationError("sweep needs at least one value")
-    return values
 
 
 def _build_parser() -> argparse.ArgumentParser:

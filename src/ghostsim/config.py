@@ -7,7 +7,7 @@ whose domain constructors check every range and name. Every error carries
 <file>:<line> of its JSON path.
 
 Numbers become floats. amplitude_rel_std is the amplitude in units of the clean
-bucket's population std; run_blocks resolves it and the manifest records the result.
+bucket's population std; reconstruct.block_pass resolves it and the manifest records the result.
 """
 from __future__ import annotations
 
@@ -142,7 +142,7 @@ def parse_config_text(text: str, path: str = "<config>") -> dict:
     if "amplitude_rel_std" in noise:
         if "amplitude" in raw["noise"]:
             raise src.fail(("noise", "amplitude_rel_std"), "give either amplitude or amplitude_rel_std, not both")
-        if noise["amplitude_rel_std"] < 0:  # no constructor sees it before run_blocks resolves it
+        if noise["amplitude_rel_std"] < 0:  # no constructor sees it before block_pass resolves it
             raise src.fail(("noise", "amplitude_rel_std"), "noise.amplitude_rel_std must be >= 0")
         del noise["amplitude"]  # the relative form owns the amplitude
     if spatial is not None and spatial["region"] == "custom" and "pgm" not in spatial:
@@ -175,7 +175,7 @@ def _section(prefix: str):
 def build_scenario(cfg: dict) -> tuple[Scenario, float | None]:
     """The one path from a parsed config to a Scenario and its amplitude_rel_std.
 
-    Only run_blocks resolves amplitude_rel_std to an absolute amplitude; simulate takes the Scenario alone.
+    Only reconstruct.block_pass resolves amplitude_rel_std to an absolute amplitude; simulate takes the Scenario alone.
     A ConfigurationError's field is the JSON path at fault, e.g. noise.spatial.region.
     """
     with _section("speckle"):

@@ -8,9 +8,9 @@ Injection positions (clean frame F_n, clean bucket S0_n = sum F_n*T):
   C     S_n = S0_n,                          I_n = F_n + Q_n * weights(x)
 
 clean_blocks makes each frame once, in ordinal blocks of about 8 MB, and sums
-S0_n from it; one position switch (_injector) then adds Q_n. run_blocks (in
-reconstruct) holds one block at a time and alone resolves amplitude_rel_std;
-simulate() keeps every frame; simulate_stream() yields one record at a time.
+S0_n from it; one position switch (_injector) then adds Q_n. block_pass (in
+reconstruct: run_blocks and sweeps) holds one block at a time and alone resolves
+amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
 All are pure functions of the scenario, so runs replay bit-identically.
 """
 from __future__ import annotations

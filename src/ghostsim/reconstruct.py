@@ -21,14 +21,15 @@ import math
 import os
 import struct
 from contextlib import nullcontext
+from copy import deepcopy
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, PgmFormatError, memory_guard
-from .measurement import MeasurementRecord, MeasurementSeries, Scenario, _injector, clean_blocks, clean_bucket_series
-from .measurement import block_records, patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
+from .measurement import MeasurementRecord, MeasurementSeries, NoiseSpec, Scenario, _injector, block_records, clean_blocks
+from .measurement import clean_bucket_series, patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
 
@@ -116,51 +117,70 @@ class BlockRun:
     curves: np.ndarray   # (len(columns), N): per record, the sum of each requested frame column
 
 
-def run_blocks(scenario: Scenario, amplitude_rel_std: float | None = None, normalization: str = "unbiased",
-               columns: tuple = (), gsim: Path | None = None) -> BlockRun:
-    """Generate and reconstruct a scenario in clean_blocks, in O(N + block * width * height) memory.
+def splits(noise: NoiseSpec) -> bool:
+    """Whether the bucket is S = S0 + A*u (sinusoid or gaussian_white at A/B), u the unit-amplitude Q_n * coupling."""
+    return noise.position in ("A", "B") and noise.waveform.kind in ("sinusoid", "gaussian_white")
 
-    The one resolver of amplitude_rel_std (A = amplitude_rel_std * std(S0), in run.scenario). gsim, in an
-    existing directory, gets the .gsim records as each block finishes. At A/B a sinusoid or gaussian_white
-    bucket is S = S0 + A*u, u_n the unit-amplitude Q_n * coupling: rows S0 and u are correlated side by
-    side and combined as G0 + A*G1, so A needs no second pass, and a run and the rerun of its resolved
-    manifest take the same arithmetic. Other cases correlate S; where S depends on A (position C,
-    constant, poisson), clean_bucket_series first resolves it. S is simulate()'s for run.scenario.
+
+def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, normalization: str = "unbiased",
+               columns: tuple = (), gsim: Path | None = None, stops: frozenset = frozenset()):
+    """Generate a scenario in clean_blocks, in O(N + block * width * height) memory; return finish(row=scenario).
+
+    finish(row) is the BlockRun of the first row.count records (count, or one of stops: a stop inside a block
+    feeds the block's prefix to a copy of the correlator), bit for bit a run's. The one resolver of
+    amplitude_rel_std (A = amplitude_rel_std * std(S0), in run.scenario). gsim, in an existing directory, gets
+    the .gsim records as each block finishes. Where splits, S0 and u are correlated side by side as G0 + A*G1
+    (row may then differ in its absolute amplitude too), so a run and the rerun of its resolved manifest take the
+    same arithmetic; other cases correlate S, which clean_bucket_series first resolves where it depends on A.
     """
-    noise, kind = scenario.noise, scenario.noise.waveform.kind
-    split = noise.position in ("A", "B") and kind in ("sinusoid", "gaussian_white")
-    sp, n = scenario.speckle, scenario.count
+    noise, sp, n = scenario.noise, scenario.speckle, scenario.count
+    split = splits(noise)
     with memory_guard(f"count {n}", n * (2 + len(columns)) * 8):
         s0, s, curves = np.empty(n), np.empty(n), np.empty((len(columns), n))
-    if amplitude_rel_std is not None and not split and noise.position != "none" and kind != "off":
+    if amplitude_rel_std is not None and not split and noise.position != "none" and noise.waveform.kind != "off":
         # S needs A during the pass; the pass makes the same S0, so resolving again at the end keeps this A
         scenario = resolve_amplitude(scenario, clean_bucket_series(scenario), amplitude_rel_std)
     unit = replace(noise, waveform=replace(noise.waveform, amplitude=1.0))
     inject = _injector(replace(scenario, noise=unit) if split else scenario)
-    corr = BlockCorrelator(1 + split, sp.width * sp.height)
+    snapshots = {n: (corr := BlockCorrelator(1 + split, sp.width * sp.height))}  # corr is final after the pass
     with (open(gsim, "wb") if gsim is not None else nullcontext()) as fh:
         if fh is not None:
             write_gsim_header(fh, sp.width, sp.height, n)
         for a, frames in clean_blocks(scenario, s0):
             b = a + len(frames)
-            # split: s holds u until the amplitude is known
+            # split: s holds u, and finish makes each row's S from its amplitude
             s[a:b] = [inject(k, 0.0 if split else s0[k - 1], frame) for k, frame in enumerate(frames, a + 1)]
-            corr.push(np.stack((s0[a:b], s[a:b])) if split else s[None, a:b], frames)
+            rows = np.stack((s0[a:b], s[a:b])) if split else s[None, a:b]
+            for stop in (stop for stop in stops - {n} if a < stop <= b):  # a stop at n is corr itself
+                snapshots[stop] = snap = deepcopy(corr)
+                snap.push(rows[:, : stop - a], frames[: stop - a])
+                snap.mean_f = snap.last = None  # finish reads only n and the sums; kept, they cost sweep-N RSS
+            corr.push(rows, frames)
             for curve, column in zip(curves, columns):
                 curve[a:b] = frames[:, :, column].sum(axis=1, dtype=np.float64)
             if fh is not None:
                 write_gsim_records(fh, s[a:b], frames)
-    if amplitude_rel_std is not None:
-        scenario = resolve_amplitude(scenario, s0, amplitude_rel_std)
-    weights = [1.0]
-    if split:
-        weights.append(scenario.noise.waveform.amplitude)
-        inject = _injector(scenario)
-        s[:] = [inject(k, s0[k - 1], None) for k in range(1, n + 1)]
-        if gsim is not None:
-            patch_gsim_buckets(gsim, s, sp.width, sp.height)
-    shape = (sp.height, sp.width)
-    return BlockRun(scenario, s0, s, corr.gi(shape, weights), corr.igi(shape, weights, normalization), curves)
+
+    def finish(row: Scenario = scenario) -> BlockRun:
+        m, weights, bucket = row.count, [1.0], s[: row.count]
+        if amplitude_rel_std is not None:
+            row = resolve_amplitude(row, s0[:m], amplitude_rel_std)
+        if split:
+            weights.append(row.noise.waveform.amplitude)
+            inject = _injector(row)
+            bucket = np.array([inject(k, s0[k - 1], None) for k in range(1, m + 1)], dtype=np.float64)
+            if gsim is not None:
+                patch_gsim_buckets(gsim, bucket, sp.width, sp.height)
+        corr, shape = snapshots[m], (sp.height, sp.width)
+        return BlockRun(row, s0[:m], bucket, corr.gi(shape, weights), corr.igi(shape, weights, normalization), curves[:, :m])
+
+    return finish
+
+
+def run_blocks(scenario: Scenario, amplitude_rel_std: float | None = None, normalization: str = "unbiased",
+               columns: tuple = (), gsim: Path | None = None) -> BlockRun:
+    """The run of a scenario: block_pass with no other stop, finished."""
+    return block_pass(scenario, amplitude_rel_std, normalization, columns, gsim)()
 
 
 class IgiAccumulator:

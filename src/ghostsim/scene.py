@@ -76,9 +76,9 @@ def builtin_mask(name: str, width: int, height: int) -> np.ndarray:
 
 
 def check_contrast(mask: np.ndarray, what: str, field: str | None = None) -> np.ndarray:
-    """The mask, if it transmits somewhere and blocks somewhere (0 < sum < w*h); else no image scores against it."""
-    if not 0.0 < mask.sum() < mask.size:
-        raise ConfigurationError(f"{what} is degenerate: it must transmit somewhere and block somewhere", field=field)
+    """The mask, if images can score against it: a pixel >= 0.5 and two below, as cnr needs (so it is not constant)."""
+    if not 1 <= np.count_nonzero(mask >= 0.5) <= mask.size - 2:
+        raise ConfigurationError(f"{what} is degenerate: it needs a pixel >= 0.5 and two below 0.5", field=field)
     return mask
 
 

@@ -1,4 +1,6 @@
+import csv
 import json
+import shutil
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -14,6 +16,7 @@ from ghostsim.cli import SWEEP_AXES, evaluate, main
 from ghostsim.presets import PRESET_NAMES, preset_config
 from ghostsim.scene import BUILTIN_MASKS
 from ghostsim.config import build_scenario, parse_config_text
+from ghostsim.errors import DegenerateInputError
 
 from conftest import assert_close_rel
 
@@ -191,8 +194,13 @@ def test_wrong_size_pgms_exit_2_with_line(tmp_path, capsys):
 def test_uniform_object_pgm_exits_2_before_any_frame(tmp_path, capsys, monkeypatch):
     calls = _count_frames(monkeypatch)
     text = '{\n  "speckle": {"width": 16, "height": 16},\n  "count": 3000,\n  "object": {"pgm": "%s"}\n}'
-    for fill in (0.0, 1.0):  # transmits nowhere, everywhere
-        save_mask(np.full((16, 16), fill), tmp_path / "m.pgm")
+    gray = np.zeros((16, 16))
+    gray[::2] = 100 / 255  # transmits, but no pixel reaches 0.5: cnr has no object pixel
+    one_below = np.ones((16, 16))
+    one_below[3, 4] = 0.0  # cnr needs two background pixels
+    # transmits nowhere, everywhere, everywhere at gray 128 (all object pixels)
+    for mask in (np.zeros((16, 16)), np.ones((16, 16)), np.full((16, 16), 128 / 255), gray, one_below):
+        save_mask(mask, tmp_path / "m.pgm")
         path = tmp_path / "object.json"
         path.write_text(text % (tmp_path / "m.pgm"))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
@@ -204,17 +212,21 @@ def test_uniform_object_pgm_exits_2_before_any_frame(tmp_path, capsys, monkeypat
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
 
 
-def test_non_finite_reconstruction_exits_3(tmp_path, capsys):
+def test_non_finite_reconstruction_exits_3(tmp_path, capsys, monkeypatch):
+    import ghostsim.cli as cli
+
     # a bucket offset of 1e308 overflows the bucket mean, so GI is NaN
     cfg = _small_cfg(tmp_path, position="B", kind="constant", amplitude=1e308)
-    # one blocking pixel reconstructs, then fails while scored: cnr needs two background pixels
-    blocked = np.ones((16, 16))
-    blocked[3, 4] = 0.0
-    save_mask(blocked, pgm := tmp_path / "blocked.pgm")
     scored = tmp_path / "scored.json"
-    scored.write_text(json.dumps({"speckle": {"width": 16, "height": 16}, "object": {"pgm": str(pgm)}, "count": 40}))
+    scored.write_text(json.dumps({"speckle": {"width": 16, "height": 16}, "object": {"builtin": "disk"}, "count": 40}))
+
+    def unscorable(image, truth):  # a run that reconstructs, then fails while scored
+        raise DegenerateInputError("background is constant; cnr undefined")
+
     out = tmp_path / "out"
-    for path, message in ((cfg, "GI image"), (scored, "two background pixels")):
+    for path, message in ((cfg, "GI image"), (scored, "cnr undefined")):
+        if path == scored:
+            monkeypatch.setattr(cli, "quality_report", unscorable)
         for emit_frames in (False, True):  # with frames, the run has started out/series.gsim before it fails
             data = json.loads(path.read_text())
             data["output"] = {"emit_frames": emit_frames}
@@ -223,6 +235,7 @@ def test_non_finite_reconstruction_exits_3(tmp_path, capsys):
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
             assert not out.exists()
+    monkeypatch.undo()
     out.mkdir()  # a directory the run did not create stays, without the container
     assert main(["run", str(cfg), "--out", str(out)]) == 3
     assert list(out.iterdir()) == []
@@ -407,7 +420,11 @@ def test_run_and_sweep_generate_each_frame_once(tmp_path, monkeypatch):
     assert sorted(calls) == list(range(1, 41))  # count = 40, the clean bucket comes from the same pass
     calls.clear()
     assert main(["sweep", str(cfg), "--axis", "N", "--values", "10,20", "--out", str(tmp_path / "s")]) == 0
-    assert len(calls) == 30
+    assert sorted(calls) == list(range(1, 21))  # one pass to the longest row
+    calls.clear()
+    amplitudes = ["sweep", str(cfg), "--axis", "noise-amplitude", "--values", "0,10,100", "--out", str(tmp_path / "a")]
+    assert main(amplitudes) == 0
+    assert sorted(calls) == list(range(1, 41))  # one pass serves the three rows, not 120 frames
 
 
 def test_sweep_row_equals_run_metrics(tmp_path):
@@ -488,6 +505,49 @@ def test_block_engine_matches_materialized_run(tmp_path, case):
     assert_close_rel(load_f64(out / "igi.f64"), igi.reshape(16, 16), 1e-12, "IGI")
 
 
+@pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
+def test_shared_pass_rows_equal_runs_of_their_configs(tmp_path, capsys, case):
+    # 16x16 blocks hold 256 records: 100 stops inside a block, 256 on its boundary, 700 is the longest row
+    data = {"speckle": {"width": 16, "height": 16, "seed": 7}, "object": {"builtin": "disk"}, "count": 700,
+            "output": {"emit_curves": False}}  # a run then needs the memory a sweep row needs
+    noise = _ENGINE_CASES[case]
+    if noise:
+        data["noise"] = noise
+    sweeps = [("N", "700,100,256,513,100"), ("N", "40,10000000000000,60")]  # the huge row fails alone
+    if noise.get("position") in ("A", "B") and noise["kind"] in ("sinusoid", "gaussian_white"):
+        sweeps.append(("noise-amplitude", "0,10,1e308"))
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
+    for axis, values in sweeps:
+        path.write_text(json.dumps(data))
+        assert main(["sweep", str(path), "--axis", axis, "--values", values, "--out", str(tmp_path / "s")]) == 0
+        with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == len(values.split(","))
+        for value, row in zip(values.split(","), rows):
+            row_data = json.loads(json.dumps(data))
+            if axis == "N":
+                row_data["count"] = int(value)
+            else:
+                row_data["noise"].pop("amplitude_rel_std", None)
+                row_data["noise"]["amplitude"] = float(value)
+            path.write_text(json.dumps(row_data))
+            code = main(["run", str(path), "--out", str(out)])
+            err = capsys.readouterr().err
+            if row[4] != "ok":
+                assert (code, err) == (3, row[4] + "\n"), (value, row)
+                continue
+            assert code == 0, (value, err)
+            scores = [json.loads((out / f"metrics_{name}.json").read_text())["pearson_r"] for name in ("gi", "igi")]
+            ratio = json.loads((out / "validity.json").read_text())["ratio"]
+            assert row[1:4] == [*map(repr, scores), repr(ratio)], (axis, value)
+            shutil.rmtree(out)
+        statuses = [row[4] for row in rows]
+        if values.startswith("40,"):
+            assert statuses[0] == statuses[2] == "ok" and "needs 1.60e+5 GB" in statuses[1]
+        if axis == "noise-amplitude":
+            assert statuses[:2] == ["ok", "ok"] and statuses[2].startswith("error: ")
+
+
 def test_evaluate_holds_no_frame_cube(tmp_path):
     # a 4000x64x64 float64 frame cube alone is 131 MB; one block of 256 frames is 8.4 MB
     text = json.dumps({
@@ -536,7 +596,7 @@ _VALUES = st.lists(st.sampled_from(["0", "1", "2.5", "3", "40", "-1", "1e308", "
     emit_frames=st.booleans(),
     sweep=st.none() | st.tuples(st.sampled_from(SWEEP_AXES), _VALUES),
 )
-@example(  # one blocking pixel: fails while scored, after series.gsim is started
+@example(  # one blocking pixel: exits 2 at object.pgm, since cnr needs two background pixels
     size=(16, 16), count=40, builtin=None, pgm=(255, [(52, 0)]), noise=None, amount=(False, 0.0),
     emit_frames=True, sweep=None,
 )

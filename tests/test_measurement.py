@@ -1,5 +1,6 @@
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,6 +174,23 @@ def test_relative_amplitude_resolves_from_the_same_pass(monkeypatch):
     flat = Scenario(speckle=_SP, object_mask=np.zeros((16, 16)), count=12)
     with pytest.raises(ConfigurationError):
         run_blocks(flat, amplitude_rel_std=1.0)
+
+
+def test_block_pass_rows_are_their_runs_bit_for_bit():
+    # 16x16 blocks hold 256 records: 100 and 513 stop inside a block, 256 on its boundary
+    wf = NoiseWaveform(kind="gaussian_white", amplitude=40.0, seed=3)
+    split = _scenario(position="A", waveform=wf, count=700)
+    louder = replace(split, noise=replace(split.noise, waveform=replace(wf, amplitude=900.0)))  # a split row
+    spatial = SpatialNoiseMask(region="right_half")
+    in_frames = _scenario(position="C", waveform=NoiseWaveform(kind="constant", amplitude=5.0), spatial=spatial, count=700)
+    for scenario, rel, extra in ((split, 4.0, []), (split, None, [louder]), (in_frames, None, [])):
+        counts = (100, 256, 513, 700)
+        finish = reconstruct.block_pass(scenario, rel, stops=frozenset(counts))
+        for row in [replace(scenario, count=m) for m in counts] + extra:
+            shared, alone = finish(row), run_blocks(row, rel)
+            assert shared.scenario.digest() == alone.scenario.digest()
+            for name in ("s0", "s", "gi", "igi"):
+                assert np.array_equal(getattr(shared, name), getattr(alone, name)), (row.count, name)
 
 
 def test_digest_tracks_parameters():
