@@ -44,7 +44,6 @@ from .noise import (
 )
 from .reconstruct import (
     IGI_NORMALIZATIONS,
-    BlockCorrelator,
     BlockRun,
     IgiAccumulator,
     ValidityReport,

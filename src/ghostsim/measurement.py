@@ -177,7 +177,10 @@ def resolve_amplitude(scenario: Scenario, s0: np.ndarray, amplitude_rel_std: flo
     sigma = float(s0.std())
     if sigma == 0.0:
         raise ConfigurationError("clean bucket series is constant; amplitude_rel_std cannot be resolved")
-    waveform = replace(scenario.noise.waveform, amplitude=float(amplitude_rel_std) * sigma)
+    try:
+        waveform = replace(scenario.noise.waveform, amplitude=float(amplitude_rel_std) * sigma)
+    except ConfigurationError as exc:  # a Poisson mean past numpy's largest, say
+        raise ConfigurationError(f"noise.amplitude_rel_std {amplitude_rel_std!r}: {exc}", field="noise.amplitude_rel_std") from exc
     return replace(scenario, noise=replace(scenario.noise, waveform=waveform))
 
 

@@ -12,8 +12,8 @@ correlates consecutive differences
 
 and needs no running means, which is what makes it streamable and immune to
 slow additive drift. The "paper-literal" normalization divides by 2N instead
-of 2(N-1). All accumulation is float64 regardless of frame dtype, in one
-kernel, BlockCorrelator, whatever the source of the frames.
+of 2(N-1). Any ordinal range of records reduces to float64 Sums (block_sums)
+and adjacent ranges merge exactly (fold): every consumer is a left fold.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ import math
 import os
 import struct
 from contextlib import nullcontext
-from copy import deepcopy
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -47,38 +47,17 @@ def _norm_divisor(normalization: str, pairs: int) -> float:
     raise ContractError(f"unknown normalization {normalization!r}; choose from {IGI_NORMALIZATIONS}")
 
 
-class BlockCorrelator:
-    """GI co-moments and IGI difference sums of K bucket rows against frames fed a block at a time, in ordinal order.
+@dataclass(frozen=True)
+class Sums:
+    """GI and IGI sums of K bucket rows against the frames of n consecutive records; Sums(0) is the empty range."""
 
-    GI merges each block's centered co-moment as C = C_a + C_b + (n_a n_b / n)(s_a - s_b)(I_a - I_b)
-    over the block means (Chan, Golub & LeVeque 1979; Pebay 2008). IGI pairs the last record of a
-    block with the first of the next. Both are linear in the rows: weights combine them at the end.
-    """
-
-    def __init__(self, rows: int, pixels: int, gi: bool = True, igi: bool = True):
-        self.n, self.gi_on, self.igi_on = 0, gi, igi
-        self.mean_s, self.mean_f = np.zeros(rows), np.zeros(pixels)
-        self.comoment, self.diffsum = np.zeros((rows, pixels)), np.zeros((rows, pixels))
-        self.last: tuple[np.ndarray, np.ndarray] | None = None
-
-    def push(self, rows: np.ndarray, frames: np.ndarray) -> None:
-        """rows (K, B) float64 bucket values of the B frames (B, height, width), any float dtype."""
-        m, n = len(frames), self.n + len(frames)
-        flat = frames.reshape(m, -1)
-        if self.gi_on:
-            mean_s, mean_f = rows.mean(axis=1), flat.mean(axis=0, dtype=np.float64)
-            self.comoment += (rows - mean_s[:, None]) @ (flat - mean_f)  # centered before multiplying
-            ds, df = mean_s - self.mean_s, mean_f - self.mean_f
-            self.comoment += np.outer(ds, df * (self.n * m / n))
-            self.mean_s += ds * (m / n)
-            self.mean_f += df * (m / n)
-        if self.igi_on:
-            if self.last is not None:
-                self.diffsum += np.outer(rows[:, 0] - self.last[0], flat[0] - self.last[1])
-            if m > 1:
-                self.diffsum += np.diff(rows, axis=1) @ np.subtract(flat[1:], flat[:-1], dtype=np.float64)
-            self.last = (rows[:, -1].copy(), flat[-1].astype(np.float64))
-        self.n = n
+    n: int  # records; a half not asked for keeps its scalar 0.0 or None. Both halves are linear in the rows.
+    mean_s: np.ndarray | float = 0.0    # (K,) row means
+    mean_f: np.ndarray | float = 0.0    # (P,) frame means, float64
+    comoment: np.ndarray | float = 0.0  # (K, P) sum of (rows - mean_s)(frames - mean_f)
+    diffsum: np.ndarray | float = 0.0   # (K, P) sum of consecutive row differences times frame differences
+    first: tuple | None = None          # (rows, frame) of the first record, float64 copies
+    last: tuple | None = None           # and of the last
 
     def gi(self, shape: tuple, weights=(1.0,)) -> np.ndarray:
         return (np.asarray(weights) @ self.comoment / self.n).reshape(shape)
@@ -87,12 +66,40 @@ class BlockCorrelator:
         return (np.asarray(weights) @ self.diffsum / _norm_divisor(normalization, self.n - 1)).reshape(shape)
 
 
-def _correlate(series: MeasurementSeries, gi: bool, igi: bool) -> BlockCorrelator:
-    corr = BlockCorrelator(1, series.width * series.height, gi=gi, igi=igi)
+def block_sums(rows: np.ndarray, frames: np.ndarray, gi: bool = True, igi: bool = True) -> Sums:
+    """The Sums of one block alone: rows (K, B) float64 bucket values of the B frames (B, height, width), any float dtype."""
+    m, flat = len(frames), frames.reshape(len(frames), -1)
+    mean_s = mean_f = comoment = diffsum = 0.0
+    first = last = None
+    if gi:
+        mean_s, mean_f = rows.mean(axis=1), flat.mean(axis=0, dtype=np.float64)
+        comoment = (rows - mean_s[:, None]) @ (flat - mean_f)  # centered before multiplying
+    if igi:
+        diffsum = np.diff(rows, axis=1) @ np.subtract(flat[1:], flat[:-1], dtype=np.float64) if m > 1 else 0.0
+        first = (rows[:, 0].copy(), flat[0].astype(np.float64))  # a view would keep the block alive
+        last = first if m == 1 else (rows[:, -1].copy(), flat[-1].astype(np.float64))
+    return Sums(m, mean_s, mean_f, comoment, diffsum, first, last)
+
+
+def fold(a: Sums, b: Sums) -> Sums:
+    """The Sums of range a followed by range b. GI: C = C_a + C_b + (n_a n_b / n)(s_b - s_a)(I_b - I_a) over the
+    range means (Chan, Golub & LeVeque 1979; Pebay 2008). IGI: the pair (last of a, first of b), then b's own sum."""
+    n, mean_s, mean_f, comoment, diffsum = a.n + b.n, a.mean_s, a.mean_f, a.comoment, a.diffsum
+    if np.ndim(b.comoment):
+        ds, df = b.mean_s - a.mean_s, b.mean_f - a.mean_f
+        comoment = a.comoment + b.comoment + np.outer(ds, df * (a.n * b.n / n))
+        mean_s, mean_f = a.mean_s + ds * (b.n / n), a.mean_f + df * (b.n / n)
+    if a.last is not None and b.first is not None:
+        diffsum = diffsum + np.outer(b.first[0] - a.last[0], b.first[1] - a.last[1])
+    if np.ndim(b.diffsum):
+        diffsum = diffsum + b.diffsum
+    return Sums(n, mean_s, mean_f, comoment, diffsum, a.first or b.first, b.last or a.last)
+
+
+def _correlate(series: MeasurementSeries, gi: bool, igi: bool) -> Sums:
     s, step = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height)
-    for a in range(0, len(series), step):
-        corr.push(s[None, a : a + step], series.frames[a : a + step])
-    return corr
+    blocks = (block_sums(s[None, a : a + step], series.frames[a : a + step], gi, igi) for a in range(0, len(series), step))
+    return reduce(fold, blocks, Sums(0))
 
 
 def gi_reconstruct(series: MeasurementSeries) -> np.ndarray:
@@ -126,8 +133,8 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
                columns: tuple = (), gsim: Path | None = None, stops: frozenset = frozenset()):
     """Generate a scenario in clean_blocks, in O(N + block * width * height) memory; return finish(row=scenario).
 
-    finish(row) is the BlockRun of the first row.count records (count, or one of stops: a stop inside a block
-    feeds the block's prefix to a copy of the correlator), bit for bit a run's. The one resolver of
+    finish(row) is the BlockRun of the first row.count records (count, or one of stops: a stop inside a block is
+    the running Sums folded with the Sums of the block's prefix), bit for bit a run's. The one resolver of
     amplitude_rel_std (A = amplitude_rel_std * std(S0), in run.scenario). gsim, in an existing directory, gets
     the .gsim records as each block finishes. Where splits, S0 and u are correlated side by side as G0 + A*G1
     (row may then differ in its absolute amplitude too), so a run and the rerun of its resolved manifest take the
@@ -142,7 +149,7 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
         scenario = resolve_amplitude(scenario, clean_bucket_series(scenario), amplitude_rel_std)
     unit = replace(noise, waveform=replace(noise.waveform, amplitude=1.0))
     inject = _injector(replace(scenario, noise=unit) if split else scenario)
-    snapshots = {n: (corr := BlockCorrelator(1 + split, sp.width * sp.height))}  # corr is final after the pass
+    sums, stopped = Sums(0), {}
     with (open(gsim, "wb") if gsim is not None else nullcontext()) as fh:
         if fh is not None:
             write_gsim_header(fh, sp.width, sp.height, n)
@@ -151,15 +158,14 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
             # split: s holds u, and finish makes each row's S from its amplitude
             s[a:b] = [inject(k, 0.0 if split else s0[k - 1], frame) for k, frame in enumerate(frames, a + 1)]
             rows = np.stack((s0[a:b], s[a:b])) if split else s[None, a:b]
-            for stop in (stop for stop in stops - {n} if a < stop <= b):  # a stop at n is corr itself
-                snapshots[stop] = snap = deepcopy(corr)
-                snap.push(rows[:, : stop - a], frames[: stop - a])
-                snap.mean_f = snap.last = None  # finish reads only n and the sums; kept, they cost sweep-N RSS
-            corr.push(rows, frames)
+            for stop in (stop for stop in stops - {n} if a < stop <= b):
+                stopped[stop] = fold(sums, block_sums(rows[:, : stop - a], frames[: stop - a]))
+            sums = fold(sums, block_sums(rows, frames))
             for curve, column in zip(curves, columns):
                 curve[a:b] = frames[:, :, column].sum(axis=1, dtype=np.float64)
             if fh is not None:
                 write_gsim_records(fh, s[a:b], frames)
+    stopped[n] = sums
 
     def finish(row: Scenario = scenario) -> BlockRun:
         m, weights, bucket = row.count, [1.0], s[: row.count]
@@ -171,8 +177,8 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
             bucket = np.array([inject(k, s0[k - 1], None) for k in range(1, m + 1)], dtype=np.float64)
             if gsim is not None:
                 patch_gsim_buckets(gsim, bucket, sp.width, sp.height)
-        corr, shape = snapshots[m], (sp.height, sp.width)
-        return BlockRun(row, s0[:m], bucket, corr.gi(shape, weights), corr.igi(shape, weights, normalization), curves[:, :m])
+        sums, shape = stopped[m], (sp.height, sp.width)
+        return BlockRun(row, s0[:m], bucket, sums.gi(shape, weights), sums.igi(shape, weights, normalization), curves[:, :m])
 
     return finish
 
@@ -184,7 +190,7 @@ def run_blocks(scenario: Scenario, amplitude_rel_std: float | None = None, norma
 
 
 class IgiAccumulator:
-    """Streaming IGI: a BlockCorrelator fed one record at a time, O(width*height) memory.
+    """Streaming IGI: a fold of one-record Sums, IGI half only, O(width*height) memory.
 
     Records must arrive in ordinal order with no gaps (n, n+1, ...); a
     skipped, repeated or reordered record is a ContractError, since it
@@ -196,25 +202,25 @@ class IgiAccumulator:
     def __init__(self, width: int, height: int):
         if width < 1 or height < 1:
             raise ContractError("accumulator needs positive frame dimensions")
-        self.width, self.height, self.pairs = width, height, 0
-        self._prev_n: int | None = None
-        self._corr = BlockCorrelator(1, width * height, gi=False)
+        self.width, self.height, self._prev_n, self._sums = width, height, None, Sums(0)  # _prev_n: last ordinal pushed
+
+    @property
+    def pairs(self) -> int:
+        return max(self._sums.n - 1, 0)
 
     def push(self, record: MeasurementRecord) -> None:
         frame = record.frame
         if frame.shape != (self.height, self.width):
             raise ContractError(f"frame {frame.shape} does not fit accumulator {(self.height, self.width)}")
-        if self._prev_n is not None:
-            if record.n != self._prev_n + 1:
-                raise ContractError(f"record {record.n} follows record {self._prev_n}; ordinals must be consecutive")
-            self.pairs += 1
-        self._corr.push(np.array([[float(record.s)]]), frame[None])
+        if self._prev_n is not None and record.n != self._prev_n + 1:
+            raise ContractError(f"record {record.n} follows record {self._prev_n}; ordinals must be consecutive")
+        self._sums = fold(self._sums, block_sums(np.array([[float(record.s)]]), frame[None], gi=False))
         self._prev_n = record.n
 
     def finalize(self, normalization: str = "unbiased") -> np.ndarray:
         if self.pairs < 1:
             raise ContractError("finalize needs at least one pushed pair (two records)")
-        return self._corr.igi((self.height, self.width), normalization=normalization)
+        return self._sums.igi((self.height, self.width), normalization=normalization)
 
 
 @dataclass
@@ -230,11 +236,7 @@ class ValidityReport:
         return asdict(self)
 
 
-def validity_diagnostic(
-    clean_bucket: np.ndarray,
-    waveform: NoiseWaveform,
-    coupling: float = 1.0,
-) -> ValidityReport:
+def validity_diagnostic(clean_bucket: np.ndarray, waveform: NoiseWaveform, coupling: float = 1.0) -> ValidityReport:
     """Compare the per-step noise bound against the clean bucket's per-step RMS.
 
     coupling scales the waveform before it reaches the bucket (the object-arm
@@ -249,12 +251,7 @@ def validity_diagnostic(
         raise DegenerateInputError("clean bucket series is constant; per-step RMS is zero")
     bound = per_step_noise_delta_bound(waveform) * float(coupling)
     ratio = bound / rms
-    if ratio < 0.1:
-        flag = "IGI regime"
-    elif ratio < 1.0:
-        flag = "marginal"
-    else:
-        flag = "breakdown"
+    flag = "IGI regime" if ratio < 0.1 else "marginal" if ratio < 1.0 else "breakdown"
     return ValidityReport(signal_delta_rms=rms, noise_delta_bound=bound, ratio=ratio, flag=flag)
 
 

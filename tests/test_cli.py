@@ -113,6 +113,13 @@ def test_exit_codes(tmp_path, capsys):
     )
     assert main(["run", str(needs_spatial)]) == 2
 
+    # refused only once the pass resolves it: A = 1e30 * std(S0) is past numpy's largest Poisson mean
+    too_loud, out = _small_cfg(tmp_path, position="B", kind="poisson", amplitude_rel_std=1e30), tmp_path / "out"
+    capsys.readouterr()
+    assert main(["run", str(too_loud), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: noise.amplitude_rel_std 1e+30: poisson amplitude must be <=") and not out.exists()
+
 
 def test_negative_sinusoid_frequency_exits_2_with_line(tmp_path, capsys):
     path = tmp_path / "freq.json"

@@ -165,11 +165,11 @@ def test_relative_amplitude_resolves_from_the_same_pass(monkeypatch):
     assert np.array_equal(run.s, clean + np.array([noise_value(resolved, n) for n in range(1, 13)]))
     assert scenario.noise.waveform.amplitude == 0.0  # the input scenario is left as it was
     # a poisson S needs A during the pass: S0 alone first (clean_bucket_series), then one engine pass
-    correlators, frames[:] = [], []
-    real_correlator = reconstruct.BlockCorrelator
-    monkeypatch.setattr(reconstruct, "BlockCorrelator", lambda *a: correlators.append(a) or real_correlator(*a))
+    passes, frames[:] = [], []
+    real_pass = reconstruct.clean_blocks
+    monkeypatch.setattr(reconstruct, "clean_blocks", lambda *a: passes.append(a) or real_pass(*a))
     poisson = run_blocks(_scenario(position="B", waveform=NoiseWaveform(kind="poisson", seed=3)), amplitude_rel_std=3.0)
-    assert len(frames) == 24 and len(correlators) == 1
+    assert len(frames) == 24 and len(passes) == 1
     assert poisson.scenario.noise.waveform.amplitude == resolved.amplitude
     flat = Scenario(speckle=_SP, object_mask=np.zeros((16, 16)), count=12)
     with pytest.raises(ConfigurationError):
@@ -330,15 +330,26 @@ def valid_files(tmp_path_factory):
     return directory, {fmt: (directory / f"v.{fmt}").read_bytes() for fmt in ("gsim", "f64", "pgm")}
 
 
-@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
-@given(fmt=st.sampled_from(["gsim", "f64", "pgm"]), at=st.integers(0, 400), byte=st.none() | st.integers(0, 255))
-@example(fmt="gsim", at=8, byte=0)  # width 0: 3 records of 8 bytes pass the size check
-@example(fmt="f64", at=12, byte=0)  # height 0
-def test_any_truncation_or_byte_edit_loads_or_raises_format_error(valid_files, fmt, at, byte):
-    """byte None truncates the file at `at`; otherwise the byte at `at` (modulo the size) becomes `byte`."""
+@settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+@given(
+    fmt=st.sampled_from(["gsim", "f64", "pgm"]),
+    at=st.integers(0, 400),
+    byte=st.none() | st.integers(0, 255),
+    tail=st.none() | st.binary(max_size=96),
+)
+@example(fmt="gsim", at=8, byte=0, tail=None)  # width 0: 3 records of 8 bytes pass the size check
+@example(fmt="f64", at=12, byte=0, tail=None)  # height 0
+@example(fmt="gsim", at=0, byte=None, tail=struct.pack("<IIII", 1, 1, 1, 2) + bytes(24))  # two 1x1 records
+def test_any_truncation_or_byte_edit_loads_or_raises_format_error(valid_files, fmt, at, byte, tail):
+    """byte None truncates the file at `at`; otherwise the byte at `at` (modulo the size) becomes `byte`.
+
+    A tail instead keeps only the format's magic and appends the tail's arbitrary bytes.
+    """
     directory, files = valid_files
     data = bytearray(files[fmt])
-    if byte is None:
+    if tail is not None:
+        data = data[: 2 if fmt == "pgm" else 4] + tail
+    elif byte is None:
         del data[at % len(data):]
     else:
         data[at % len(data)] = byte

@@ -1,5 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghostsim import (
     ContractError,
@@ -21,6 +25,7 @@ from ghostsim import (
     validity_diagnostic,
 )
 from ghostsim.measurement import Scenario, block_records
+from ghostsim.reconstruct import Sums, block_sums, fold
 from ghostsim.speckle import SpeckleParams
 
 from conftest import assert_close_rel, oracle_covariance_image, synthetic_series
@@ -53,6 +58,30 @@ def test_gi_blocked_accumulation_spans_block_boundary():
     # more records than one accumulation block
     series = synthetic_series(9, count=2100, width=3, height=2)
     assert_close_rel(gi_reconstruct(series), oracle_covariance_image(series), 1e-9)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(2, 30),
+    cuts=st.lists(st.integers(1, 29), max_size=8),
+    amplitude=st.floats(-1e3, 1e3),
+)
+def test_fold_of_pieces_cut_anywhere_matches_the_definitions(seed, count, cuts, amplitude):
+    # rows [S0, u] with weights [1, A] are the bucket S = S0 + A*u; cuts give one-record and uneven pieces
+    series = synthetic_series(seed, count=count, width=3, height=2)
+    u = np.random.Generator(np.random.PCG64(seed + 1)).normal(size=count)
+    edges = sorted({0, count, *(c for c in cuts if c < count)})
+    rows = np.stack((series.s, u))
+    pieces = [block_sums(rows[:, a:b], series.frames[a:b]) for a, b in zip(edges, edges[1:])]
+    weights = [1.0, amplitude]
+    bucket = MeasurementSeries(s=series.s + amplitude * u, frames=series.frames)
+    igi = np.diff(bucket.s) @ np.diff(series.frames.reshape(count, -1), axis=0) / (2 * (count - 1))
+    # in ordinal order from the left, as the engine folds, and from the right, as a merge of later ranges would
+    for sums in (reduce(fold, pieces, Sums(0)), reduce(lambda acc, piece: fold(piece, acc), pieces[::-1], Sums(0))):
+        assert sums.n == count
+        assert_close_rel(sums.gi((2, 3), weights), oracle_covariance_image(bucket), 1e-9, f"GI at {edges}")
+        assert_close_rel(sums.igi((2, 3), weights), igi.reshape(2, 3), 1e-9, f"IGI at {edges}")
 
 
 def test_blocks_are_bounded_in_bytes_above_64x64(tmp_path):
