@@ -150,7 +150,7 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
                 continue
             for i in pending:
                 try:
-                    validity = _judge(run := finish(rows[i][0]))
+                    validity = _judge(run := finish(rows[i][0], bucket=False))
                     scores = [pearson(image, run.scenario.object_mask) for image in (run.gi, run.igi)]
                     fields[i] = [*map(repr, [*scores, validity.ratio]), "ok"]
                 except GhostsimError as exc:

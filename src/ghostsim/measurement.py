@@ -11,14 +11,17 @@ clean_blocks makes each frame once, in ordinal blocks of about 8 MB, and sums
 S0_n from it; one position switch (_injector) then adds Q_n. block_pass (in
 reconstruct: run_blocks and sweeps) holds one block at a time and alone resolves
 amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
-All are pure functions of the scenario, so runs replay bit-identically.
+Only frames are made off the calling thread, by _POOL. All are pure functions of the
+scenario, so runs replay bit-identically, whatever the thread count.
 """
 from __future__ import annotations
 
 import hashlib
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterator
 
 import numpy as np
@@ -26,13 +29,15 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, PgmFormatError, memory_guard
 from .noise import NoiseWaveform, SpatialNoiseMask, noise_value
 from .scene import bucket_signal
-from .speckle import SpeckleParams, generate_frame
+from .speckle import SpeckleParams, fill_frames, generate_frame  # noqa: F401  perfbench patches generate_frame here
 
 POSITIONS = ("none", "A", "B", "C")
 
 _GSIM_MAGIC = b"GSIM"
 _GSIM_VERSION = 1
 _BLOCK = 256  # records per block at 64x64 and below: 8 MB of f64 frames
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL = ThreadPoolExecutor(_WORKERS)  # one thread per CPU this process may run on; the bits do not depend on it
 
 
 @dataclass(frozen=True)
@@ -160,15 +165,19 @@ def block_records(width: int, height: int) -> int:
 
 
 def clean_blocks(scenario: Scenario, s0: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, frames) per block of clean float64 frames, in ordinal order, in one reused buffer; set s0[start:]."""
+    """Yield (start, frames) per block of clean float64 frames, in ordinal order, in one reused buffer; set s0[start:].
+
+    _POOL fills a block in place, in items of about 16384 pixels; this thread sums S0 and raises an item's error."""
     sp, n = scenario.speckle, scenario.count
-    step = block_records(sp.width, sp.height)
+    step, item = block_records(sp.width, sp.height), max(1, 16384 // (sp.width * sp.height))
     buffer = np.empty((min(step, n), sp.height, sp.width))
     for a in range(0, n, step):
         frames = buffer[: min(step, n - a)]
-        for i, frame in enumerate(frames):
-            frame[...] = generate_frame(sp, a + i + 1)
-            s0[a + i] = bucket_signal(frame, scenario.object_mask)
+        firsts = range(a + 1, a + len(frames) + 1, item)
+        parts = _POOL.map(fill_frames, repeat(sp), firsts, np.split(frames, range(item, len(frames), item)))
+        for first, part in zip(firsts, parts):
+            for k, frame in enumerate(part, first):
+                s0[k - 1] = bucket_signal(frame, scenario.object_mask)
         yield a, frames
 
 
@@ -197,11 +206,18 @@ def simulate(scenario: Scenario) -> MeasurementSeries:
 
 
 def simulate_stream(scenario: Scenario) -> Iterator[MeasurementRecord]:
-    """Yield records one at a time; memory stays O(width*height)."""
-    inject = _injector(scenario)
-    for n in range(1, scenario.count + 1):
-        frame = generate_frame(scenario.speckle, n)
-        yield MeasurementRecord(n, inject(n, bucket_signal(frame, scenario.object_mask), frame), frame)
+    """Yield records one at a time, in O(_WORKERS * width * height) memory: while a record is out, _POOL makes the
+    next _WORKERS frames, one item each. Closing the generator cancels those not started."""
+    sp, inject, ahead = scenario.speckle, _injector(scenario), []
+    try:
+        for n in range(1, scenario.count + 1):
+            for k in range(n + len(ahead), min(n + 1 + _WORKERS, scenario.count + 1)):
+                ahead.append(_POOL.submit(fill_frames, sp, k, np.empty((1, sp.height, sp.width))))
+            frame = ahead.pop(0).result()[0]
+            yield MeasurementRecord(n, inject(n, bucket_signal(frame, scenario.object_mask), frame), frame)
+    finally:
+        for future in ahead:
+            future.cancel()
 
 
 def clean_bucket_series(scenario: Scenario) -> np.ndarray:

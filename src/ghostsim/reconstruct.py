@@ -118,7 +118,7 @@ class BlockRun:
 
     scenario: Scenario   # what was simulated, amplitude resolved
     s0: np.ndarray       # clean bucket S0_n
-    s: np.ndarray        # bucket S_n, as simulate() gives it
+    s: np.ndarray | None  # bucket S_n, as simulate() gives it; None from finish(row, bucket=False) where S splits
     gi: np.ndarray
     igi: np.ndarray
     curves: np.ndarray   # (len(columns), N): per record, the sum of each requested frame column
@@ -133,12 +133,12 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
                columns: tuple = (), gsim: Path | None = None, stops: frozenset = frozenset()):
     """Generate a scenario in clean_blocks, in O(N + block * width * height) memory; return finish(row=scenario).
 
-    finish(row) is the BlockRun of the first row.count records (count, or one of stops: a stop inside a block is
-    the running Sums folded with the Sums of the block's prefix), bit for bit a run's. The one resolver of
-    amplitude_rel_std (A = amplitude_rel_std * std(S0), in run.scenario). gsim, in an existing directory, gets
-    the .gsim records as each block finishes. Where splits, S0 and u are correlated side by side as G0 + A*G1
-    (row may then differ in its absolute amplitude too), so a run and the rerun of its resolved manifest take the
-    same arithmetic; other cases correlate S, which clean_bucket_series first resolves where it depends on A.
+    finish(row, bucket=True) is the BlockRun of the first row.count records (count, or one of stops: a stop inside
+    a block is the running Sums folded with the Sums of the block's prefix), bit for bit a run's. The one resolver
+    of amplitude_rel_std (A = amplitude_rel_std * std(S0), in run.scenario). gsim, in an existing directory, gets
+    the .gsim records as each block finishes. Where splits, S0 and u are correlated side by side as G0 + A*G1 (a
+    row may differ in A too; a run and the rerun of its resolved manifest take the same arithmetic), and a row's S
+    is built (and patched into gsim) only given bucket. Other cases correlate S, whose A clean_bucket_series resolves.
     """
     noise, sp, n = scenario.noise, scenario.speckle, scenario.count
     split = splits(noise)
@@ -167,18 +167,19 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
                 write_gsim_records(fh, s[a:b], frames)
     stopped[n] = sums
 
-    def finish(row: Scenario = scenario) -> BlockRun:
-        m, weights, bucket = row.count, [1.0], s[: row.count]
+    def finish(row: Scenario = scenario, bucket: bool = True) -> BlockRun:
+        m, weights, s_row = row.count, [1.0], s[: row.count]
         if amplitude_rel_std is not None:
             row = resolve_amplitude(row, s0[:m], amplitude_rel_std)
         if split:
             weights.append(row.noise.waveform.amplitude)
-            inject = _injector(row)
-            bucket = np.array([inject(k, s0[k - 1], None) for k in range(1, m + 1)], dtype=np.float64)
+            inject, s_row = _injector(row), None
+        if split and bucket:
+            s_row = np.array([inject(k, s0[k - 1], None) for k in range(1, m + 1)], dtype=np.float64)
             if gsim is not None:
-                patch_gsim_buckets(gsim, bucket, sp.width, sp.height)
+                patch_gsim_buckets(gsim, s_row, sp.width, sp.height)
         sums, shape = stopped[m], (sp.height, sp.width)
-        return BlockRun(row, s0[:m], bucket, sums.gi(shape, weights), sums.igi(shape, weights, normalization), curves[:, :m])
+        return BlockRun(row, s0[:m], s_row, sums.gi(shape, weights), sums.igi(shape, weights, normalization), curves[:, :m])
 
     return finish
 

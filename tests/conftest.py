@@ -1,5 +1,7 @@
 import os
+import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,6 +28,29 @@ def synthetic_series(seed, count=50, width=8, height=8):
     frames = rng.exponential(scale=1.0, size=(count, height, width))
     s = rng.uniform(10.0, 100.0, size=count)
     return MeasurementSeries(s=s, frames=frames)
+
+
+@pytest.fixture
+def frame_workers(monkeypatch):
+    """frame_workers(k): from then on the test makes frames on a pool of k threads, k frames ahead in a stream.
+
+    The interpreter switches threads every 10 us instead of 5 ms meanwhile, so the threads interleave finely."""
+    import ghostsim.measurement as measurement
+
+    pools, interval = [], sys.getswitchinterval()
+
+    def use(k):
+        pools.append(ThreadPoolExecutor(k))
+        monkeypatch.setattr(measurement, "_POOL", pools[-1])
+        monkeypatch.setattr(measurement, "_WORKERS", k)
+
+    sys.setswitchinterval(1e-5)
+    try:
+        yield use
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in pools:
+            pool.shutdown(cancel_futures=True)
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from ghostsim.cli import SWEEP_AXES, evaluate, main
 from ghostsim.presets import PRESET_NAMES, preset_config
 from ghostsim.scene import BUILTIN_MASKS
 from ghostsim.config import build_scenario, parse_config_text
-from ghostsim.errors import DegenerateInputError
+from ghostsim.errors import ContractError, DegenerateInputError
 
 from conftest import assert_close_rel
 
@@ -409,29 +409,37 @@ def test_preset_configs_are_valid():
 def _count_frames(monkeypatch) -> list:
     import ghostsim.measurement as measurement
 
-    calls = []
-    real = measurement.generate_frame
+    calls = []  # the ordinals of every frame made, in the order the pool's threads start them
+    real = measurement.fill_frames
 
-    def counting(params, n):
-        calls.append(n)
-        return real(params, n)
+    def counting(params, first, out):
+        calls.extend(range(first, first + len(out)))
+        return real(params, first, out)
 
-    monkeypatch.setattr(measurement, "generate_frame", counting)
+    monkeypatch.setattr(measurement, "fill_frames", counting)
     return calls
 
 
 def test_run_and_sweep_generate_each_frame_once(tmp_path, monkeypatch):
+    import ghostsim.measurement as measurement
+
     cfg = _small_cfg(tmp_path, position="B", kind="sinusoid", amplitude_rel_std=2.0, frequency=5.0)
-    calls = _count_frames(monkeypatch)
+    calls, noise = _count_frames(monkeypatch), []
+    real_noise = measurement.noise_value
+    monkeypatch.setattr(measurement, "noise_value", lambda waveform, n: noise.append(n) or real_noise(waveform, n))
     assert main(["run", str(cfg), "--out", str(tmp_path / "run")]) == 0
     assert sorted(calls) == list(range(1, 41))  # count = 40, the clean bucket comes from the same pass
     calls.clear()
+    noise.clear()
     assert main(["sweep", str(cfg), "--axis", "N", "--values", "10,20", "--out", str(tmp_path / "s")]) == 0
     assert sorted(calls) == list(range(1, 21))  # one pass to the longest row
+    assert noise == list(range(1, 21))  # the pass's unit waveform: a sweep row's S is never built
     calls.clear()
+    noise.clear()
     amplitudes = ["sweep", str(cfg), "--axis", "noise-amplitude", "--values", "0,10,100", "--out", str(tmp_path / "a")]
     assert main(amplitudes) == 0
     assert sorted(calls) == list(range(1, 41))  # one pass serves the three rows, not 120 frames
+    assert noise == list(range(1, 41))
 
 
 def test_sweep_row_equals_run_metrics(tmp_path):
@@ -553,6 +561,49 @@ def test_shared_pass_rows_equal_runs_of_their_configs(tmp_path, capsys, case):
             assert statuses[0] == statuses[2] == "ok" and "needs 1.60e+5 GB" in statuses[1]
         if axis == "noise-amplitude":
             assert statuses[:2] == ["ok", "ok"] and statuses[2].startswith("error: ")
+
+
+def _tree(root: Path) -> dict:
+    return {str(path.relative_to(root)): path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("case", ["B-rel", "C-rel", "B-rel-poisson"])
+def test_outputs_do_not_depend_on_the_worker_count(tmp_path, frame_workers, case):
+    # 700 records at 16x16: blocks of 256 in items of 64 frames, 11 items in all
+    data = {"speckle": {"width": 16, "height": 16, "seed": 7}, "object": {"builtin": "disk"}, "count": 700,
+            "noise": _ENGINE_CASES[case], "output": {"emit_frames": True, "emit_curves": True}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    trees = []
+    for workers in (1, 3):
+        frame_workers(workers)
+        out = tmp_path / str(workers)
+        assert main(["run", str(path), "--out", str(out / "run")]) == 0
+        assert main(["sweep", str(path), "--axis", "N", "--values", "100,256,513,700", "--out", str(out / "s")]) == 0
+        trees.append(_tree(out))
+    assert "run/series.gsim" in trees[0] and "s/sweep.csv" in trees[0]
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("error, code", [(ContractError, 3), (OSError, 4)])
+def test_a_frame_worker_error_is_the_run_error(tmp_path, capsys, monkeypatch, frame_workers, error, code):
+    import ghostsim.measurement as measurement
+
+    frame_workers(3)
+    real = measurement.fill_frames
+
+    def failing(params, first, out):
+        if first <= 300 < first + len(out):
+            raise error("frame 300 failed")
+        return real(params, first, out)
+
+    monkeypatch.setattr(measurement, "fill_frames", failing)
+    cfg = json.loads(_small_cfg(tmp_path, **_ENGINE_CASES["B-rel"]).read_text())
+    cfg.update(count=700, output={"emit_frames": True, "emit_curves": True})
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["run", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "new" / "out")]) == code
+    assert capsys.readouterr().err == "error: frame 300 failed\n"
+    assert not (tmp_path / "new").exists()
 
 
 def test_evaluate_holds_no_frame_cube(tmp_path):

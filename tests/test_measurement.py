@@ -1,5 +1,7 @@
 import math
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -37,6 +39,7 @@ from ghostsim import (
     write_curve_csv,
 )
 from ghostsim.pgm import read_pgm, write_pgm
+from ghostsim.speckle import fill_frames
 
 _SP = SpeckleParams(width=16, height=16, seed=5)
 _MASK = builtin_mask("disk", 16, 16)
@@ -131,6 +134,60 @@ def test_stream_matches_materialized():
         assert np.array_equal(rec.frame, series.frames[i])
 
 
+@pytest.mark.parametrize("width, height, count", [(64, 64, 301), (37, 53, 300), (256, 256, 21)])
+def test_pooled_frames_equal_generate_frame_for_any_worker_count(frame_workers, width, height, count):
+    # items of 4, 8 and 1 frames over blocks of 256, 256 and 16: 76, 38 and 21 items, none a multiple of 3
+    sp = SpeckleParams(width=width, height=height, grain_radius=1.5, seed=9)
+    scenario = Scenario(speckle=sp, object_mask=builtin_mask("disk", width, height), count=count)
+    expected = [generate_frame(sp, k) for k in range(1, count + 1)]
+    out = np.zeros((5, height, width))
+    fill_frames(sp, 3, out[1:4])  # into the middle of a buffer, as a pool item does
+    assert np.array_equal(out[1:4], expected[2:5]) and not out[[0, 4]].any()
+    for workers in (1, 3):
+        frame_workers(workers)
+        s0, seen = np.empty(count), 0
+        for a, frames in measurement.clean_blocks(scenario, s0):
+            assert a == seen and np.array_equal(frames, expected[a : a + len(frames)]), (workers, a)
+            seen += len(frames)
+        assert seen == count
+        assert s0.tolist() == [bucket_signal(frame, scenario.object_mask) for frame in expected]
+
+
+def test_stream_does_not_depend_on_the_worker_count(frame_workers):
+    # 7 records, 1 or 3 frames ahead; position C adds its noise to the yielded frame in place
+    wf = NoiseWaveform(kind="sinusoid", amplitude=30.0, frequency=0.5, sample_rate=25.0)
+    scenario = _scenario(position="C", waveform=wf, spatial=SpatialNoiseMask(region="right_half"), count=7)
+    series = simulate(scenario)
+    for workers in (1, 3):
+        frame_workers(workers)
+        records = list(simulate_stream(scenario))
+        assert [rec.n for rec in records] == list(range(1, 8))
+        assert [rec.s for rec in records] == series.s.tolist()
+        assert np.array_equal([rec.frame for rec in records], series.frames)
+
+
+def test_closing_a_stream_cancels_the_frames_not_started(monkeypatch):
+    # one thread, three frames ahead: frame 2 holds the thread until released, so 3 and 4 wait in the queue
+    pool, started, release = ThreadPoolExecutor(1), [], threading.Event()
+    monkeypatch.setattr(measurement, "_POOL", pool)
+    monkeypatch.setattr(measurement, "_WORKERS", 3)
+    real = measurement.fill_frames
+
+    def gated(params, first, out):
+        started.append(first)
+        if first > 1:
+            release.wait(30)
+        return real(params, first, out)
+
+    monkeypatch.setattr(measurement, "fill_frames", gated)
+    stream = simulate_stream(_scenario())
+    assert next(stream).n == 1
+    stream.close()
+    release.set()
+    pool.shutdown(wait=True)
+    assert started in ([1], [1, 2])
+
+
 def test_clean_bucket_series_ignores_noise():
     wf = NoiseWaveform(kind="constant", amplitude=9999.0)
     clean = clean_bucket_series(_scenario())
@@ -155,10 +212,15 @@ def test_relative_amplitude_resolves_from_the_same_pass(monkeypatch):
     scenario = _scenario(position="B", waveform=wf)
     clean = clean_bucket_series(scenario)
     frames = []
-    real = measurement.generate_frame
-    monkeypatch.setattr(measurement, "generate_frame", lambda params, n: frames.append(n) or real(params, n))
+    real = measurement.fill_frames
+
+    def counting(params, first, out):  # the pool's threads call it, so compare the ordinals sorted
+        frames.extend(range(first, first + len(out)))
+        return real(params, first, out)
+
+    monkeypatch.setattr(measurement, "fill_frames", counting)
     run = run_blocks(scenario, amplitude_rel_std=3.0)
-    assert frames == list(range(1, 13))  # N frames: S0 comes from the pass that makes them
+    assert sorted(frames) == list(range(1, 13))  # N frames: S0 comes from the pass that makes them
     resolved = run.scenario.noise.waveform
     assert resolved.amplitude == 3.0 * float(clean.std())
     assert np.array_equal(run.s0, clean)
