@@ -37,7 +37,17 @@ _GSIM_MAGIC = b"GSIM"
 _GSIM_VERSION = 1
 _BLOCK = 256  # records per block at 64x64 and below: 8 MB of f64 frames
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-_POOL = ThreadPoolExecutor(_WORKERS)  # one thread per CPU this process may run on; the bits do not depend on it
+
+
+def _new_pool() -> None:
+    """This process's frame pool, one thread per CPU it may run on; made anew in a forked child, which has no threads."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(_WORKERS)
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass(frozen=True)
@@ -164,12 +174,17 @@ def block_records(width: int, height: int) -> int:
     return max(1, min(_BLOCK, _BLOCK * 4096 // (width * height)))
 
 
+def item_frames(width: int, height: int) -> int:
+    """Frames per pool item, about 16384 pixels: pocketfft keeps the GIL for one 64x64 frame, not for a batch of four."""
+    return max(1, 16384 // (width * height))
+
+
 def clean_blocks(scenario: Scenario, s0: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, frames) per block of clean float64 frames, in ordinal order, in one reused buffer; set s0[start:].
 
     _POOL fills a block in place, in items of about 16384 pixels; this thread sums S0 and raises an item's error."""
     sp, n = scenario.speckle, scenario.count
-    step, item = block_records(sp.width, sp.height), max(1, 16384 // (sp.width * sp.height))
+    step, item = block_records(sp.width, sp.height), item_frames(sp.width, sp.height)
     buffer = np.empty((min(step, n), sp.height, sp.width))
     for a in range(0, n, step):
         frames = buffer[: min(step, n - a)]
@@ -206,15 +221,17 @@ def simulate(scenario: Scenario) -> MeasurementSeries:
 
 
 def simulate_stream(scenario: Scenario) -> Iterator[MeasurementRecord]:
-    """Yield records one at a time, in O(_WORKERS * width * height) memory: while a record is out, _POOL makes the
-    next _WORKERS frames, one item each. Closing the generator cancels those not started."""
-    sp, inject, ahead = scenario.speckle, _injector(scenario), []
+    """Yield records one at a time, in O(_WORKERS * item * width * height) memory: while an item's records are out,
+    _POOL makes the next _WORKERS items (of item_frames frames, as in clean_blocks). Closing cancels those not started."""
+    sp, n, inject = scenario.speckle, scenario.count, _injector(scenario)
+    item = item_frames(sp.width, sp.height)
+    starts, ahead = range(1, n + 1, item), []
     try:
-        for n in range(1, scenario.count + 1):
-            for k in range(n + len(ahead), min(n + 1 + _WORKERS, scenario.count + 1)):
-                ahead.append(_POOL.submit(fill_frames, sp, k, np.empty((1, sp.height, sp.width))))
-            frame = ahead.pop(0).result()[0]
-            yield MeasurementRecord(n, inject(n, bucket_signal(frame, scenario.object_mask), frame), frame)
+        for i, first in enumerate(starts):
+            for k in starts[i + len(ahead) : i + 1 + _WORKERS]:
+                ahead.append(_POOL.submit(fill_frames, sp, k, np.empty((min(item, n + 1 - k), sp.height, sp.width))))
+            for k, frame in enumerate(ahead.pop(0).result(), first):
+                yield MeasurementRecord(k, inject(k, bucket_signal(frame, scenario.object_mask), frame), frame)
     finally:
         for future in ahead:
             future.cancel()

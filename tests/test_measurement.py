@@ -1,6 +1,9 @@
 import math
+import os
+import signal
 import struct
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -153,21 +156,27 @@ def test_pooled_frames_equal_generate_frame_for_any_worker_count(frame_workers, 
         assert s0.tolist() == [bucket_signal(frame, scenario.object_mask) for frame in expected]
 
 
-def test_stream_does_not_depend_on_the_worker_count(frame_workers):
-    # 7 records, 1 or 3 frames ahead; position C adds its noise to the yielded frame in place
+@pytest.mark.parametrize("size, count, items", [(16, 263, [64] * 4 + [7]), (64, 29, [4] * 7 + [1]), (128, 5, [1] * 5)])
+def test_stream_does_not_depend_on_the_worker_count(frame_workers, monkeypatch, size, count, items):
+    # items as in clean_blocks, 1 or 3 ahead, none a multiple of 3; position C adds its noise to the yielded frame
     wf = NoiseWaveform(kind="sinusoid", amplitude=30.0, frequency=0.5, sample_rate=25.0)
-    scenario = _scenario(position="C", waveform=wf, spatial=SpatialNoiseMask(region="right_half"), count=7)
-    series = simulate(scenario)
+    noise = NoiseSpec(waveform=wf, position="C", spatial=SpatialNoiseMask(region="right_half"))
+    sp = SpeckleParams(width=size, height=size, seed=5)
+    scenario = Scenario(speckle=sp, object_mask=builtin_mask("disk", size, size), count=count, noise=noise)
+    series, real, made = simulate(scenario), measurement.fill_frames, []
+    monkeypatch.setattr(measurement, "fill_frames", lambda params, first, out: made.append(len(out)) or real(params, first, out))
     for workers in (1, 3):
         frame_workers(workers)
+        made[:] = []
         records = list(simulate_stream(scenario))
-        assert [rec.n for rec in records] == list(range(1, 8))
+        assert made == items  # submitted in ordinal order, so no sort
+        assert [rec.n for rec in records] == list(range(1, count + 1))
         assert [rec.s for rec in records] == series.s.tolist()
         assert np.array_equal([rec.frame for rec in records], series.frames)
 
 
 def test_closing_a_stream_cancels_the_frames_not_started(monkeypatch):
-    # one thread, three frames ahead: frame 2 holds the thread until released, so 3 and 4 wait in the queue
+    # one thread, three items of 4 ahead: item 5 holds the thread until released, so 9 and 13 wait in the queue
     pool, started, release = ThreadPoolExecutor(1), [], threading.Event()
     monkeypatch.setattr(measurement, "_POOL", pool)
     monkeypatch.setattr(measurement, "_WORKERS", 3)
@@ -180,12 +189,33 @@ def test_closing_a_stream_cancels_the_frames_not_started(monkeypatch):
         return real(params, first, out)
 
     monkeypatch.setattr(measurement, "fill_frames", gated)
-    stream = simulate_stream(_scenario())
-    assert next(stream).n == 1
+    sp = SpeckleParams(width=64, height=64, seed=5)
+    stream = simulate_stream(Scenario(speckle=sp, object_mask=builtin_mask("disk", 64, 64), count=16))
+    assert [next(stream).n for _ in range(4)] == [1, 2, 3, 4]
     stream.close()
     release.set()
     pool.shutdown(wait=True)
-    assert started in ([1], [1, 2])
+    assert started in ([1], [1, 5])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_makes_frames_on_a_pool_of_its_own():
+    # the parent's pool has run (items of 64 frames at 16x16); the child inherits it without its threads
+    scenario = _scenario(count=300)
+    expected = clean_bucket_series(scenario)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os._exit(0 if np.array_equal(clean_bucket_series(scenario), expected) else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:  # still waiting on a pool with no threads
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def test_clean_bucket_series_ignores_noise():
