@@ -138,8 +138,8 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
     (base, rel), normalization = rows[0], cfg["output"]["igi_normalization"]
     shared = splits(base.noise) and axis != "noise-frequency" or axis == "N" and rel is None
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path, fields = out_dir / "sweep.csv", {}
-    with open(csv_path, "w", newline="") as fh, np.errstate(over="ignore", invalid="ignore"):  # _judge reports non-finite images
+    fields = {}
+    with np.errstate(over="ignore", invalid="ignore"):  # _judge reports non-finite images
         while len(fields) < len(rows):
             pending = [i for i in range(len(rows)) if i not in fields][: None if shared else 1]
             top, rel = max((rows[i] for i in pending), key=lambda row: row[0].count)
@@ -156,6 +156,8 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
                 except GhostsimError as exc:
                     fields[i] = ["", "", "", f"error: {exc}"]
             finish = run = None  # held into the next pass, they cost peak RSS: heap its frame block would reuse
+    csv_path = out_dir / "sweep.csv"  # opened once every row is scored, so an interrupted sweep leaves none
+    with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["value", "gi_pearson_r", "igi_pearson_r", "validity_ratio", "status"])
         writer.writerows([repr(float(value)), *fields[i]] for i, value in enumerate(values))

@@ -11,17 +11,20 @@ clean_blocks makes each frame once, in ordinal blocks of about 8 MB, and sums
 S0_n from it; one position switch (_injector) then adds Q_n. block_pass (in
 reconstruct: run_blocks and sweeps) holds one block at a time and alone resolves
 amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
-Only frames are made off the calling thread, by _POOL. All are pure functions of the
-scenario, so runs replay bit-identically, whatever the thread count.
+Frames are made off the calling thread, by _POOL; a block pass holds OpenBLAS at one thread (_ONE_BLAS_THREAD).
+All are pure functions of the scenario, so runs replay bit-identically, whatever the pool's or BLAS's thread count.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import product, repeat
 from typing import Iterator
 
 import numpy as np
@@ -48,6 +51,46 @@ def _new_pool() -> None:
 _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
+
+
+@functools.cache
+def _openblas() -> tuple | None:
+    """(get_num_threads, set_num_threads) of the OpenBLAS mapped into this process, or None (non-Linux, MKL, ...)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            handles = [ctypes.CDLL(lib) for lib in sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})]
+    except OSError:
+        return None
+    for handle, prefix, suffix in product(handles, ("scipy_openblas", "openblas"), ("64_", "")):
+        get, put = (getattr(handle, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS at one thread while any block pass runs: the first entry saves the caller's count, the last exit
+    restores it. A pass's GEMMs are too small to gain from a second thread, whose busy-wait takes a core from _POOL."""
+
+    def __init__(self) -> None:
+        self._lock, self._depth, self._saved = threading.Lock(), 0, 1
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0 and (blas := _openblas()):
+                self._saved = blas[0]()
+                blas[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and (blas := _openblas()):
+                blas[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 @dataclass(frozen=True)

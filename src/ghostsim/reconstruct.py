@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, PgmFormatError, memory_guard
 from .measurement import MeasurementRecord, MeasurementSeries, NoiseSpec, Scenario, _injector, block_records, clean_blocks
+from .measurement import _ONE_BLAS_THREAD
 from .measurement import clean_bucket_series, patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
@@ -139,6 +140,7 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
     the .gsim records as each block finishes. Where splits, S0 and u are correlated side by side as G0 + A*G1 (a
     row may differ in A too; a run and the rerun of its resolved manifest take the same arithmetic), and a row's S
     is built (and patched into gsim) only given bucket. Other cases correlate S, whose A clean_bucket_series resolves.
+    Blocks fold with OpenBLAS held at one thread (_ONE_BLAS_THREAD), so the bits do not depend on the host's BLAS count.
     """
     noise, sp, n = scenario.noise, scenario.speckle, scenario.count
     split = splits(noise)
@@ -150,7 +152,7 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
     unit = replace(noise, waveform=replace(noise.waveform, amplitude=1.0))
     inject = _injector(replace(scenario, noise=unit) if split else scenario)
     sums, stopped = Sums(0), {}
-    with (open(gsim, "wb") if gsim is not None else nullcontext()) as fh:
+    with (open(gsim, "wb") if gsim is not None else nullcontext()) as fh, _ONE_BLAS_THREAD:
         if fh is not None:
             write_gsim_header(fh, sp.width, sp.height, n)
         for a, frames in clean_blocks(scenario, s0):

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from ghostsim.presets import PRESET_NAMES, preset_config
 from ghostsim.scene import BUILTIN_MASKS
 from ghostsim.config import build_scenario, parse_config_text
 from ghostsim.errors import ContractError, DegenerateInputError
+from ghostsim.reconstruct import block_pass
 
 from conftest import assert_close_rel
 
@@ -353,6 +355,24 @@ def test_sweep_csv(tmp_path, capsys):
     assert ratios == sorted(ratios)
 
 
+def test_an_interrupted_sweep_leaves_no_csv(tmp_path, monkeypatch):
+    import ghostsim.cli as cli
+
+    real, passes = cli.block_pass, []
+
+    def interrupted(*args, **kwargs):
+        passes.append(args)
+        if len(passes) == 2:
+            raise RuntimeError("interrupted")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "block_pass", interrupted)
+    cfg, out = _small_cfg(tmp_path, position="B", kind="sinusoid", amplitude=1.0, frequency=5.0), tmp_path / "s"
+    with pytest.raises(RuntimeError, match="interrupted"):  # one pass per frequency row
+        main(["sweep", str(cfg), "--axis", "noise-frequency", "--values", "1,2", "--out", str(out)])
+    assert out.is_dir() and not (out / "sweep.csv").exists()
+
+
 def test_sweep_frequency_axis_ratio_monotone(tmp_path):
     cfg = _small_cfg(tmp_path, position="B", kind="sinusoid", amplitude=100.0, frequency=5.0)
     out = tmp_path / "sweepf"
@@ -585,11 +605,10 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, frame_workers, case
     assert trees[0] == trees[1]
 
 
-@pytest.mark.parametrize("error, code", [(ContractError, 3), (OSError, 4)])
-def test_a_frame_worker_error_is_the_run_error(tmp_path, capsys, monkeypatch, frame_workers, error, code):
+def _fail_at_frame_300(monkeypatch, error) -> None:
+    """From now on, the pool item that makes frame 300 raises error."""
     import ghostsim.measurement as measurement
 
-    frame_workers(3)
     real = measurement.fill_frames
 
     def failing(params, first, out):
@@ -598,12 +617,123 @@ def test_a_frame_worker_error_is_the_run_error(tmp_path, capsys, monkeypatch, fr
         return real(params, first, out)
 
     monkeypatch.setattr(measurement, "fill_frames", failing)
+
+
+@pytest.mark.parametrize("error, code", [(ContractError, 3), (OSError, 4)])
+def test_a_frame_worker_error_is_the_run_error(tmp_path, capsys, monkeypatch, frame_workers, error, code):
+    frame_workers(3)
+    _fail_at_frame_300(monkeypatch, error)
     cfg = json.loads(_small_cfg(tmp_path, **_ENGINE_CASES["B-rel"]).read_text())
     cfg.update(count=700, output={"emit_frames": True, "emit_curves": True})
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert main(["run", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "new" / "out")]) == code
     assert capsys.readouterr().err == "error: frame 300 failed\n"
     assert not (tmp_path / "new").exists()
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of the process's OpenBLAS thread count; the count is put back after the test. Skips without OpenBLAS."""
+    import ghostsim.measurement as measurement
+
+    blas = measurement._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS in this process")
+    get, put = blas
+    before = get()
+    try:
+        yield get, put
+    finally:
+        put(before)
+
+
+def _record_blas_threads(monkeypatch, get, barrier=None) -> list:
+    """The BLAS thread count at every block_sums call from now on; with a barrier, each thread's first call waits at it."""
+    import ghostsim.reconstruct as reconstruct
+
+    real, seen, waited = reconstruct.block_sums, [], set()
+
+    def recording(*args, **kwargs):
+        if barrier is not None and threading.get_ident() not in waited:
+            waited.add(threading.get_ident())
+            barrier.wait()
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "block_sums", recording)
+    return seen
+
+
+@pytest.mark.parametrize("case", ["none", "C-rel"])
+def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path, blas_threads, case):
+    # at 37x53, OpenBLAS splits a (1, 256) @ (256, 1961) GEMM over two threads in another summation order
+    get, put = blas_threads
+    data = {"speckle": {"width": 37, "height": 53, "seed": 11}, "object": {"builtin": "disk"}, "count": 600,
+            "output": {"emit_frames": True, "emit_curves": True}}
+    if _ENGINE_CASES[case]:
+        data["noise"] = _ENGINE_CASES[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    trees = []
+    for threads in (1, 2):
+        put(threads)
+        out = tmp_path / str(threads)
+        assert main(["run", str(path), "--out", str(out / "run")]) == 0
+        assert main(["sweep", str(path), "--axis", "N", "--values", "100,257,600", "--out", str(out / "s")]) == 0
+        assert get() == threads
+        trees.append(_tree(out))
+    assert "run/series.gsim" in trees[0] and "run/gi.f64" in trees[0] and "s/sweep.csv" in trees[0]
+    assert trees[0] == trees[1]
+
+
+def test_a_block_pass_runs_on_one_blas_thread_and_restores_the_callers_count(tmp_path, monkeypatch, blas_threads):
+    get, put = blas_threads
+    put(2)
+    seen = _record_blas_threads(monkeypatch, get)
+    path = _small_cfg(tmp_path, **_ENGINE_CASES["B-rel"])
+    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 0
+    assert get() == 2
+    assert main(["sweep", str(path), "--axis", "N", "--values", "10,40", "--out", str(tmp_path / "s")]) == 0
+    assert get() == 2
+
+    _fail_at_frame_300(monkeypatch, ContractError)
+    cfg = json.loads(path.read_text())
+    path.write_text(json.dumps({**cfg, "count": 700}))
+    assert main(["run", str(path), "--out", str(tmp_path / "failed")]) == 3
+    assert get() == 2
+    assert seen and set(seen) == {1}
+
+
+def test_overlapping_block_passes_restore_the_callers_blas_count(monkeypatch, blas_threads):
+    get, put = blas_threads
+    put(2)
+    seen = _record_blas_threads(monkeypatch, get, threading.Barrier(2, timeout=60))
+    cfg = {"speckle": {"width": 16, "height": 16, "seed": 5}, "object": {"builtin": "disk"}}
+    # the short pass exits while the long one still folds blocks: those must still run on one thread
+    scenarios = [build_scenario(parse_config_text(json.dumps({**cfg, "count": count})))[0] for count in (300, 3000)]
+    runs, threads = [], [threading.Thread(target=lambda s=s: runs.append(block_pass(s)())) for s in scenarios]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+    assert len(runs) == 2 and get() == 2
+    assert len(seen) > 12 and set(seen) == {1}
+
+
+def test_without_openblas_a_run_touches_no_blas_state(tmp_path, monkeypatch, blas_threads):
+    import ghostsim.measurement as measurement
+
+    get, put = blas_threads
+    put(2)
+    path, trees = _small_cfg(tmp_path, **_ENGINE_CASES["C-rel"]), []
+    for lookup, threads in ((measurement._openblas, 1), (lambda: None, 2)):
+        monkeypatch.setattr(measurement, "_openblas", lookup)
+        seen = _record_blas_threads(monkeypatch, get)
+        assert main(["run", str(path), "--out", str(tmp_path / str(threads))]) == 0
+        trees.append(_tree(tmp_path / str(threads)))
+        assert get() == 2 and set(seen) == {threads}
+    assert trees[0] == trees[1]
 
 
 def test_evaluate_holds_no_frame_cube(tmp_path):
