@@ -7,11 +7,12 @@ Injection positions (clean frame F_n, clean bucket S0_n = sum F_n*T):
   B     S_n = S0_n + Q_n,                    I_n = F_n      (noise straight onto the bucket)
   C     S_n = S0_n,                          I_n = F_n + Q_n * weights(x)
 
-clean_blocks makes each frame once, in ordinal blocks of about 8 MB, and sums
-S0_n from it; one position switch (_injector) then adds Q_n. block_pass (in
+clean_blocks makes each frame once, in ordinal blocks of about 8 MB, with its
+S0_n; one position switch (_injector) then adds Q_n. block_pass (in
 reconstruct: run_blocks and sweeps) holds one block at a time and alone resolves
 amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
-Frames are made off the calling thread, by _POOL; a block pass holds OpenBLAS at one thread (_ONE_BLAS_THREAD).
+Frames and their S0_n are made off the calling thread, by _POOL, which writes both in place (_fill_item); a block pass
+and the scoring of its images hold OpenBLAS at one thread (_ONE_BLAS_THREAD).
 All are pure functions of the scenario, so runs replay bit-identically, whatever the pool's or BLAS's thread count.
 """
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, PgmFormatError, memory_guard
 from .noise import NoiseWaveform, SpatialNoiseMask, noise_value
-from .scene import bucket_signal
+from .scene import bucket_signal, bucket_signals  # noqa: F401  perfbench patches bucket_signal here
 from .speckle import SpeckleParams, fill_frames, generate_frame  # noqa: F401  perfbench patches generate_frame here
 
 POSITIONS = ("none", "A", "B", "C")
@@ -70,8 +71,9 @@ def _openblas() -> tuple | None:
 
 
 class _OneBlasThread:
-    """Holds OpenBLAS at one thread while any block pass runs: the first entry saves the caller's count, the last exit
-    restores it. A pass's GEMMs are too small to gain from a second thread, whose busy-wait takes a core from _POOL."""
+    """Holds OpenBLAS at one thread while any block pass or its scoring runs: the first entry saves the caller's count,
+    the last exit restores it. A pass's GEMMs are too small to gain from a second thread, whose busy-wait takes a core
+    from _POOL, and a dot product split over two threads sums in another order than on one."""
 
     def __init__(self) -> None:
         self._lock, self._depth, self._saved = threading.Lock(), 0, 1
@@ -222,20 +224,25 @@ def item_frames(width: int, height: int) -> int:
     return max(1, 16384 // (width * height))
 
 
+def _fill_item(sp: SpeckleParams, first: int, frames: np.ndarray, mask: np.ndarray, s0: np.ndarray) -> tuple:
+    """A pool item: clean frames first, first + 1, ... into frames and their buckets S0 into s0, in place; return both."""
+    s0[:] = bucket_signals(fill_frames(sp, first, frames), mask)
+    return frames, s0
+
+
 def clean_blocks(scenario: Scenario, s0: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, frames) per block of clean float64 frames, in ordinal order, in one reused buffer; set s0[start:].
 
-    _POOL fills a block in place, in items of about 16384 pixels; this thread sums S0 and raises an item's error."""
+    _POOL fills a block and its S0 in place, in items of about 16384 pixels; this thread raises an item's error."""
     sp, n = scenario.speckle, scenario.count
     step, item = block_records(sp.width, sp.height), item_frames(sp.width, sp.height)
     buffer = np.empty((min(step, n), sp.height, sp.width))
     for a in range(0, n, step):
         frames = buffer[: min(step, n - a)]
-        firsts = range(a + 1, a + len(frames) + 1, item)
-        parts = _POOL.map(fill_frames, repeat(sp), firsts, np.split(frames, range(item, len(frames), item)))
-        for first, part in zip(firsts, parts):
-            for k, frame in enumerate(part, first):
-                s0[k - 1] = bucket_signal(frame, scenario.object_mask)
+        cuts = range(item, len(frames), item)
+        firsts, s0_parts = range(a + 1, a + len(frames) + 1, item), np.split(s0[a : a + len(frames)], cuts)
+        for _ in _POOL.map(_fill_item, repeat(sp), firsts, np.split(frames, cuts), repeat(scenario.object_mask), s0_parts):
+            pass  # wait for every item, raising the first error
         yield a, frames
 
 
@@ -265,16 +272,19 @@ def simulate(scenario: Scenario) -> MeasurementSeries:
 
 def simulate_stream(scenario: Scenario) -> Iterator[MeasurementRecord]:
     """Yield records one at a time, in O(_WORKERS * item * width * height) memory: while an item's records are out,
-    _POOL makes the next _WORKERS items (of item_frames frames, as in clean_blocks). Closing cancels those not started."""
+    _POOL makes the next _WORKERS items (frames and S0, as in clean_blocks). Closing cancels those not started."""
     sp, n, inject = scenario.speckle, scenario.count, _injector(scenario)
     item = item_frames(sp.width, sp.height)
     starts, ahead = range(1, n + 1, item), []
     try:
         for i, first in enumerate(starts):
             for k in starts[i + len(ahead) : i + 1 + _WORKERS]:
-                ahead.append(_POOL.submit(fill_frames, sp, k, np.empty((min(item, n + 1 - k), sp.height, sp.width))))
-            for k, frame in enumerate(ahead.pop(0).result(), first):
-                yield MeasurementRecord(k, inject(k, bucket_signal(frame, scenario.object_mask), frame), frame)
+                m = min(item, n + 1 - k)
+                frames = np.empty((m, sp.height, sp.width))
+                ahead.append(_POOL.submit(_fill_item, sp, k, frames, scenario.object_mask, np.empty(m)))
+            frames, s0 = ahead.pop(0).result()
+            for k, (frame, s) in enumerate(zip(frames, s0.tolist()), first):
+                yield MeasurementRecord(k, inject(k, s, frame), frame)
     finally:
         for future in ahead:
             future.cancel()

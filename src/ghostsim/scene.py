@@ -100,8 +100,13 @@ def save_mask(mask: np.ndarray, path) -> None:
     write_pgm(path, np.rint(m * 255.0).astype(np.uint8), 255)
 
 
+def bucket_signals(frames: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Total transmitted intensity of each of m frames (m, height, width): sum over pixels of frame * mask, (m,)."""
+    return (frames * mask).reshape(len(frames), -1).sum(axis=1)
+
+
 def bucket_signal(frame: np.ndarray, mask: np.ndarray) -> float:
     """Total transmitted intensity: sum over pixels of frame * mask."""
     if frame.shape != mask.shape:
         raise ContractError(f"frame {frame.shape} and mask {mask.shape} differ in shape")
-    return float(np.sum(frame * mask))
+    return float(bucket_signals(frame[None], mask)[0])

@@ -11,11 +11,13 @@ Frames are addressed by ordinal, not drawn from a shared stream: frame n is
 produced by a Philox generator keyed on (seed, module tag) with its 256-bit
 counter block set from n. Any frame can be regenerated in isolation,
 bit-identically, in any order, from any process or thread: fill_frames makes
-a run of frames in place, and measurement runs it on a thread pool.
+a run of frames in place, with one complex scratch per thread and every FFT in
+place, and measurement runs it on a thread pool.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,21 +70,31 @@ def _transfer(width: int, height: int, radius: float) -> np.ndarray:
     return np.exp(-2.0 * np.pi**2 * radius * radius * (fx * fx + fy * fy))
 
 
+_SCRATCH = threading.local()  # .field: this thread's complex128 FFT scratch (k, height, width), k its longest item
+
+
 def fill_frames(params: SpeckleParams, first: int, out: np.ndarray) -> np.ndarray:
     """Write frames first, first + 1, ... (1-based) into out, C-contiguous float64 (m, height, width); return out.
 
     The FFTs of the m frames run as one batch (bit for bit the per-frame ones): pocketfft releases the GIL for four
-    64x64 frames, not for one. So does the Philox draw, so threads can fill disjoint parts of one buffer at once."""
+    64x64 frames, not for one. So does the Philox draw, so threads can fill disjoint parts of one buffer at once.
+    No frame-sized array is allocated: the field lives in the thread's scratch and every FFT writes in place. The
+    inverse is two 1-D passes, last axis first as ifft2 takes them, bit for bit its result: numpy 2.4's ifft2 writes
+    wrong values into out=."""
     if first < 1:
         raise ContractError(f"frame_index must be >= 1, got {first}")
-    field = np.empty(out.shape, dtype=np.complex128)
+    field = getattr(_SCRATCH, "field", None)
+    if field is None or field.shape[1:] != out.shape[1:] or len(field) < len(out):  # a new shape, or a longer item
+        field = _SCRATCH.field = np.empty(out.shape, dtype=np.complex128)
+    field = field[: len(out)]
     for n, (f, scratch) in enumerate(zip(field, out), first):
         rng = ordinal_rng(params.seed, _STREAM_TAG, n)
         f.real = rng.standard_normal(out=scratch)  # the first height*width normals, then the next
         f.imag = rng.standard_normal(out=scratch)
     np.fft.fft2(field, out=field)
     field *= _transfer(params.width, params.height, float(params.grain_radius))
-    field = np.fft.ifft2(field)  # not out=: numpy 2.4's ifft2 writes wrong values there
+    np.fft.ifft(field, axis=-1, out=field)
+    np.fft.ifft(field, axis=-2, out=field)
     np.square(field.real, out=out)
     out += np.square(field.imag, out=field.imag)
     for frame in out:

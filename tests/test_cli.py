@@ -686,6 +686,24 @@ def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path, blas_thread
     assert trees[0] == trees[1]
 
 
+def test_scores_do_not_depend_on_the_callers_blas_threads(tmp_path, blas_threads):
+    # at 128x128, OpenBLAS splits pearson's dot products of 16384 pixels over two threads in another summation order
+    get, put = blas_threads
+    data = {"speckle": {"width": 128, "height": 128, "seed": 11}, "object": {"builtin": "disk"}, "count": 150,
+            "noise": _ENGINE_CASES["B-rel"]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    scores = []
+    for threads in (1, 2):
+        put(threads)
+        out = tmp_path / str(threads)
+        assert main(["run", str(path), "--out", str(out / "run")]) == 0
+        assert main(["sweep", str(path), "--axis", "N", "--values", "70,150", "--out", str(out / "s")]) == 0
+        assert get() == threads
+        scores.append({name: (out / name).read_text() for name in ("run/metrics_gi.json", "run/metrics_igi.json", "s/sweep.csv")})
+    assert scores[0] == scores[1]
+
+
 def test_a_block_pass_runs_on_one_blas_thread_and_restores_the_callers_count(tmp_path, monkeypatch, blas_threads):
     get, put = blas_threads
     put(2)

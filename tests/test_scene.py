@@ -11,6 +11,7 @@ from ghostsim import (
     load_mask,
     save_mask,
 )
+from ghostsim.scene import bucket_signals
 
 
 @pytest.mark.parametrize("name", BUILTIN_MASKS)
@@ -123,6 +124,15 @@ def test_bucket_signal_hand_value():
     assert bucket_signal(frame, mask) == 5.0
     assert bucket_signal(frame, np.ones((2, 2))) == 10.0
     assert bucket_signal(frame, np.zeros((2, 2))) == 0.0
+
+
+@pytest.mark.parametrize("width, height", [(64, 64), (37, 53), (256, 256)])
+def test_batched_buckets_are_the_per_frame_sums_bit_for_bit(width, height):
+    # the pool's S0 sum over an item of frames against np.sum of each frame alone
+    rng = np.random.default_rng(3)
+    frames, mask = rng.exponential(size=(3, height, width)), builtin_mask("disk", width, height)
+    assert bucket_signals(frames, mask).tolist() == [float(np.sum(frame * mask)) for frame in frames]
+    assert [bucket_signal(frame, mask) for frame in frames] == [float(np.sum(frame * mask)) for frame in frames]
 
 
 def test_bucket_signal_shape_contract():

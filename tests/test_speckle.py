@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,47 @@ from ghostsim import (
     SpeckleParams,
     generate_frame,
 )
+from ghostsim.speckle import _STREAM_TAG, _transfer, fill_frames, ordinal_rng
+
+
+def _allocating_frames(params: SpeckleParams, first: int, m: int) -> np.ndarray:
+    """Frames first .. first + m - 1 by the allocating formula: a fresh complex field, inverted by np.fft.ifft2."""
+    out = np.empty((m, params.height, params.width))
+    field = np.empty(out.shape, dtype=np.complex128)
+    for n, (f, scratch) in enumerate(zip(field, out), first):
+        rng = ordinal_rng(params.seed, _STREAM_TAG, n)
+        f.real = rng.standard_normal(out=scratch)
+        f.imag = rng.standard_normal(out=scratch)
+    np.fft.fft2(field, out=field)
+    field *= _transfer(params.width, params.height, float(params.grain_radius))
+    field = np.fft.ifft2(field)
+    np.square(field.real, out=out)
+    out += np.square(field.imag, out=field.imag)
+    for frame in out:
+        frame *= params.mean_intensity / frame.mean()
+    return out
+
+
+def _fill(params: SpeckleParams, first: int, m: int) -> np.ndarray:
+    return fill_frames(params, first, np.empty((m, params.height, params.width)))
+
+
+@pytest.mark.parametrize("width, height, m", [(64, 64, 1), (64, 64, 4), (37, 53, 3), (63, 63, 2), (256, 256, 1)])
+def test_fill_frames_equals_the_allocating_formula(width, height, m):
+    p = SpeckleParams(width=width, height=height, grain_radius=1.5, seed=9)
+    assert np.array_equal(_fill(p, 7, m), _allocating_frames(p, 7, m))
+
+
+def test_a_threads_scratch_carries_nothing_between_shapes_and_lengths():
+    # one thread: 4 frames at 64x64, then 1 at 37x53 (a new shape), then 3 at 64x64 (shorter than its scratch)
+    square, odd = SpeckleParams(width=64, height=64, seed=4), SpeckleParams(width=37, height=53, seed=4)
+    calls = [(square, 1, 4), (odd, 5, 1), (square, 9, 3)]
+    with ThreadPoolExecutor(1) as pool:
+        made = [pool.submit(_fill, *call).result() for call in calls]
+    for call, frames in zip(calls, made):
+        with ThreadPoolExecutor(1) as fresh:  # a new thread, so a new scratch
+            assert np.array_equal(frames, fresh.submit(_fill, *call).result())
+        assert np.array_equal(frames, _allocating_frames(*call))
 
 
 def test_params_validation():
