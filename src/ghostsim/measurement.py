@@ -219,9 +219,12 @@ def block_records(width: int, height: int) -> int:
     return max(1, min(_BLOCK, _BLOCK * 4096 // (width * height)))
 
 
-def item_frames(width: int, height: int) -> int:
-    """Frames per pool item, about 16384 pixels: pocketfft keeps the GIL for one 64x64 frame, not for a batch of four."""
-    return max(1, 16384 // (width * height))
+def item_frames(width: int, height: int, pixels: int) -> int:
+    """Frames per pool item of about `pixels` pixels, at least one. pocketfft keeps the GIL for one 64x64 frame, not for
+    a batch of four, so a stream takes items of 16384 pixels: it holds O(_WORKERS * item) in flight. A block pass takes
+    items of 65536 pixels, 16 frames at 64x64: fewer futures and batches for the GIL, and a thread's complex scratch
+    stays at 1 MB, as a 256x256 frame needs anyway."""
+    return max(1, pixels // (width * height))
 
 
 def _fill_item(sp: SpeckleParams, first: int, frames: np.ndarray, mask: np.ndarray, s0: np.ndarray) -> tuple:
@@ -233,9 +236,9 @@ def _fill_item(sp: SpeckleParams, first: int, frames: np.ndarray, mask: np.ndarr
 def clean_blocks(scenario: Scenario, s0: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, frames) per block of clean float64 frames, in ordinal order, in one reused buffer; set s0[start:].
 
-    _POOL fills a block and its S0 in place, in items of about 16384 pixels; this thread raises an item's error."""
+    _POOL fills a block and its S0 in place, in items of about 65536 pixels; this thread raises an item's error."""
     sp, n = scenario.speckle, scenario.count
-    step, item = block_records(sp.width, sp.height), item_frames(sp.width, sp.height)
+    step, item = block_records(sp.width, sp.height), item_frames(sp.width, sp.height, 65536)
     buffer = np.empty((min(step, n), sp.height, sp.width))
     for a in range(0, n, step):
         frames = buffer[: min(step, n - a)]
@@ -274,7 +277,7 @@ def simulate_stream(scenario: Scenario) -> Iterator[MeasurementRecord]:
     """Yield records one at a time, in O(_WORKERS * item * width * height) memory: while an item's records are out,
     _POOL makes the next _WORKERS items (frames and S0, as in clean_blocks). Closing cancels those not started."""
     sp, n, inject = scenario.speckle, scenario.count, _injector(scenario)
-    item = item_frames(sp.width, sp.height)
+    item = item_frames(sp.width, sp.height, 16384)
     starts, ahead = range(1, n + 1, item), []
     try:
         for i, first in enumerate(starts):

@@ -2,8 +2,9 @@
 
 Waveform values are non-negative by construction (light adds, it does not
 subtract). Stochastic kinds are indexed like speckle frames: the value at
-step n comes from a Philox generator keyed on (seed, module tag) with the
-counter set from n, so any step is replayable out of order.
+step n comes from the calling thread's Philox generator (speckle.ordinal_rng)
+keyed on (seed, module tag) with the counter set from n, so any step is
+replayable out of order.
 """
 from __future__ import annotations
 

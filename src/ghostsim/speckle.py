@@ -10,9 +10,10 @@ Gaussian of width ~grain_radius.
 Frames are addressed by ordinal, not drawn from a shared stream: frame n is
 produced by a Philox generator keyed on (seed, module tag) with its 256-bit
 counter block set from n. Any frame can be regenerated in isolation,
-bit-identically, in any order, from any process or thread: fill_frames makes
-a run of frames in place, with one complex scratch per thread and every FFT in
-place, and measurement runs it on a thread pool.
+bit-identically, in any order, from any process or thread. Each thread keeps
+one Philox generator, moved to an ordinal by setting its counter (ordinal_rng),
+and one complex scratch: fill_frames makes a run of frames in place, every FFT
+in place and one rescale for the run, and measurement runs it on a thread pool.
 """
 from __future__ import annotations
 
@@ -52,13 +53,27 @@ class SpeckleParams:
             raise ConfigurationError("seed must be an integer in [0, 2**64)", field="seed")
 
 
-def ordinal_rng(seed: int, tag: int, ordinal: int) -> Generator:
-    """Philox generator for one ordinal of the stream keyed on (seed, tag).
+# .field: this thread's complex128 FFT scratch (k, height, width), k its longest item; .rng, .state: its ordinal_rng
+_SCRATCH = threading.local()
 
-    One disjoint 2^128-counter block per ordinal; a frame consumes far less.
-    """
-    key = np.array([seed, tag], dtype=np.uint64)
-    return Generator(Philox(counter=ordinal << 128, key=key))
+
+def ordinal_rng(seed: int, tag: int, ordinal: int) -> Generator:
+    """This thread's Philox generator, set to one ordinal of the stream keyed on (seed, tag): it draws what
+    Generator(Philox(counter=ordinal << 128, key=[seed, tag])) draws. Valid until this thread's next call.
+
+    One disjoint 2^128-counter block per ordinal; a frame consumes far less. Setting the state of the thread's one
+    generator holds the GIL for a small part of the time that building a new generator for each ordinal would."""
+    try:
+        rng, state = _SCRATCH.rng, _SCRATCH.state
+    except AttributeError:
+        rng = _SCRATCH.rng = Generator(Philox(0))
+        fresh = rng.bit_generator.state  # an empty buffer and no spare uint32, as in any new Philox
+        words = {"state": {"counter": [0, 0, 0, 0], "key": [0, 0]}, "buffer": fresh["buffer"].tolist()}
+        state = _SCRATCH.state = {**fresh, **words}  # Python ints: the state setter reads them faster than arrays
+    state["state"]["counter"][2:] = ordinal & 0xFFFFFFFFFFFFFFFF, ordinal >> 64  # ordinal << 128, in 64-bit words
+    state["state"]["key"][:] = seed, tag
+    rng.bit_generator.state = state
+    return rng
 
 
 @lru_cache(maxsize=8)
@@ -70,17 +85,15 @@ def _transfer(width: int, height: int, radius: float) -> np.ndarray:
     return np.exp(-2.0 * np.pi**2 * radius * radius * (fx * fx + fy * fy))
 
 
-_SCRATCH = threading.local()  # .field: this thread's complex128 FFT scratch (k, height, width), k its longest item
-
-
 def fill_frames(params: SpeckleParams, first: int, out: np.ndarray) -> np.ndarray:
     """Write frames first, first + 1, ... (1-based) into out, C-contiguous float64 (m, height, width); return out.
 
     The FFTs of the m frames run as one batch (bit for bit the per-frame ones): pocketfft releases the GIL for four
     64x64 frames, not for one. So does the Philox draw, so threads can fill disjoint parts of one buffer at once.
-    No frame-sized array is allocated: the field lives in the thread's scratch and every FFT writes in place. The
-    inverse is two 1-D passes, last axis first as ifft2 takes them, bit for bit its result: numpy 2.4's ifft2 writes
-    wrong values into out=."""
+    Little else holds the GIL: each frame moves the thread's one generator to its ordinal (ordinal_rng), and the m
+    frames are rescaled to the mean in one step, bit for bit frame by frame. No frame-sized array is allocated: the
+    field lives in the thread's scratch and every FFT writes in place. The inverse is two 1-D passes, last axis first
+    as ifft2 takes them, bit for bit its result: numpy 2.4's ifft2 writes wrong values into out=."""
     if first < 1:
         raise ContractError(f"frame_index must be >= 1, got {first}")
     field = getattr(_SCRATCH, "field", None)
@@ -97,9 +110,8 @@ def fill_frames(params: SpeckleParams, first: int, out: np.ndarray) -> np.ndarra
     np.fft.ifft(field, axis=-2, out=field)
     np.square(field.real, out=out)
     out += np.square(field.imag, out=field.imag)
-    for frame in out:
-        # |filtered Gaussian field|^2 is almost surely nonzero somewhere
-        frame *= params.mean_intensity / frame.mean()
+    # |filtered Gaussian field|^2 is almost surely nonzero somewhere; each frame's mean is its own frame.mean()
+    out *= (params.mean_intensity / out.mean(axis=(1, 2)))[:, None, None]
     return out
 
 

@@ -137,22 +137,32 @@ def test_stream_matches_materialized():
         assert np.array_equal(rec.frame, series.frames[i])
 
 
-@pytest.mark.parametrize("width, height, count", [(64, 64, 301), (37, 53, 300), (256, 256, 21)])
-def test_pooled_frames_equal_generate_frame_for_any_worker_count(frame_workers, width, height, count):
-    # items of 4, 8 and 1 frames over blocks of 256, 256 and 16: 76, 38 and 21 items, none a multiple of 3
+@pytest.mark.parametrize(
+    "width, height, count, items",
+    [
+        pytest.param(64, 64, 301, [16] * 18 + [13], id="64-64-301"),
+        pytest.param(37, 53, 300, [33] * 7 + [25, 33, 11], id="37-53-300"),
+        pytest.param(256, 256, 22, [1] * 22, id="256-256-22"),
+    ],
+)
+def test_pooled_frames_equal_generate_frame_for_any_worker_count(frame_workers, monkeypatch, width, height, count, items):
+    # items of about 65536 pixels over blocks of 256, 256 and 16 frames: 19, 10 and 22 items, none a multiple of 3
     sp = SpeckleParams(width=width, height=height, grain_radius=1.5, seed=9)
     scenario = Scenario(speckle=sp, object_mask=builtin_mask("disk", width, height), count=count)
     expected = [generate_frame(sp, k) for k in range(1, count + 1)]
     out = np.zeros((5, height, width))
     fill_frames(sp, 3, out[1:4])  # into the middle of a buffer, as a pool item does
     assert np.array_equal(out[1:4], expected[2:5]) and not out[[0, 4]].any()
+    real, made = measurement.fill_frames, []
+    monkeypatch.setattr(measurement, "fill_frames", lambda params, first, out: made.append((first, len(out))) or real(params, first, out))
     for workers in (1, 3):
         frame_workers(workers)
-        s0, seen = np.empty(count), 0
+        s0, seen, made[:] = np.empty(count), 0, []
         for a, frames in measurement.clean_blocks(scenario, s0):
             assert a == seen and np.array_equal(frames, expected[a : a + len(frames)]), (workers, a)
             seen += len(frames)
         assert seen == count
+        assert [m for _, m in sorted(made)] == items  # the pool's threads call it, so sort by ordinal
         assert s0.tolist() == [bucket_signal(frame, scenario.object_mask) for frame in expected]
 
 
@@ -200,7 +210,7 @@ def test_closing_a_stream_cancels_the_frames_not_started(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 def test_a_forked_child_makes_frames_on_a_pool_of_its_own():
-    # the parent's pool has run (items of 64 frames at 16x16); the child inherits it without its threads
+    # the parent's pool has run (items of 256 frames at 16x16); the child inherits it without its threads
     scenario = _scenario(count=300)
     expected = clean_bucket_series(scenario)
     pid = os.fork()

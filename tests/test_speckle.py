@@ -1,7 +1,10 @@
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from ghostsim import (
     ConfigurationError,
@@ -9,15 +12,22 @@ from ghostsim import (
     SpeckleParams,
     generate_frame,
 )
+from ghostsim.noise import _STREAM_TAG as _NOISE_TAG
 from ghostsim.speckle import _STREAM_TAG, _transfer, fill_frames, ordinal_rng
 
 
+def _fresh_rng(seed: int, tag: int, n: int) -> Generator:
+    """The generator of ordinal n, built anew: its counter is n << 128, its key (seed, tag)."""
+    return Generator(Philox(counter=n << 128, key=np.array([seed, tag], dtype=np.uint64)))
+
+
 def _allocating_frames(params: SpeckleParams, first: int, m: int) -> np.ndarray:
-    """Frames first .. first + m - 1 by the allocating formula: a fresh complex field, inverted by np.fft.ifft2."""
+    """Frames first .. first + m - 1 by the allocating formula: a fresh generator per frame, a fresh complex field,
+    inverted by np.fft.ifft2, each frame rescaled on its own."""
     out = np.empty((m, params.height, params.width))
     field = np.empty(out.shape, dtype=np.complex128)
     for n, (f, scratch) in enumerate(zip(field, out), first):
-        rng = ordinal_rng(params.seed, _STREAM_TAG, n)
+        rng = _fresh_rng(params.seed, _STREAM_TAG, n)
         f.real = rng.standard_normal(out=scratch)
         f.imag = rng.standard_normal(out=scratch)
     np.fft.fft2(field, out=field)
@@ -34,10 +44,48 @@ def _fill(params: SpeckleParams, first: int, m: int) -> np.ndarray:
     return fill_frames(params, first, np.empty((m, params.height, params.width)))
 
 
-@pytest.mark.parametrize("width, height, m", [(64, 64, 1), (64, 64, 4), (37, 53, 3), (63, 63, 2), (256, 256, 1)])
+@pytest.mark.parametrize(
+    "width, height, m", [(64, 64, 1), (64, 64, 4), (64, 64, 16), (37, 53, 3), (37, 53, 33), (63, 63, 2), (256, 256, 1)]
+)
 def test_fill_frames_equals_the_allocating_formula(width, height, m):
     p = SpeckleParams(width=width, height=height, grain_radius=1.5, seed=9)
     assert np.array_equal(_fill(p, 7, m), _allocating_frames(p, 7, m))
+
+
+def _draws(rng: Generator) -> list:
+    """Draws of several kinds. The first leaves Philox's buffer mid-block, which the next reseek must empty; the array
+    draw releases the GIL, as a frame's does."""
+    normals = rng.standard_normal(999)[::99].tolist()
+    return [rng.standard_normal(), rng.poisson(3.5), rng.integers(2**32), normals, rng.random()]
+
+
+@pytest.mark.parametrize("n", [1, 2**64 - 1, 2**64, 2**64 + 3])
+def test_ordinal_rng_draws_what_a_fresh_philox_draws(n):
+    assert _draws(ordinal_rng(9, _STREAM_TAG, n)) == _draws(_fresh_rng(9, _STREAM_TAG, n))
+    # the speckle and noise streams interleaved in one thread, each call after a partial draw of the other's
+    for seed, tag in [(9, _NOISE_TAG), (2**64 - 1, _STREAM_TAG), (0, _NOISE_TAG), (9, _STREAM_TAG)]:
+        assert _draws(ordinal_rng(seed, tag, n)) == _draws(_fresh_rng(seed, tag, n))
+
+
+def test_ordinal_rng_is_one_generator_per_thread():
+    # three pool threads reseek their generators at once, switching every 10 us between draws
+    streams, ordinals = [(5, _STREAM_TAG), (5, _NOISE_TAG), (6, _STREAM_TAG)], range(1, 301)
+    barrier = threading.Barrier(len(streams))
+
+    def draws(seed: int, tag: int) -> list:
+        barrier.wait(timeout=30)
+        return [_draws(ordinal_rng(seed, tag, n)) for n in ordinals]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            made = [pool.submit(draws, *stream) for stream in streams]
+            for (seed, tag), future in zip(streams, made):
+                assert future.result(timeout=60) == [_draws(_fresh_rng(seed, tag, n)) for n in ordinals]
+    finally:
+        sys.setswitchinterval(interval)
+    assert ordinal_rng(1, 2, 3) is ordinal_rng(4, 5, 6)  # this thread's one generator, valid until its next call
 
 
 def test_a_threads_scratch_carries_nothing_between_shapes_and_lengths():
