@@ -11,8 +11,8 @@ clean_blocks makes each frame once, in ordinal blocks of about 8 MB, with its
 S0_n; one position switch (_injector) then adds Q_n. block_pass (in
 reconstruct: run_blocks and sweeps) holds one block at a time and alone resolves
 amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
-Frames and their S0_n are made off the calling thread, by _POOL, which writes both in place (_fill_item); a block pass
-and the scoring of its images hold OpenBLAS at one thread (_ONE_BLAS_THREAD).
+Off the calling thread, _POOL makes frames and their S0_n in place (_fill_item) and sums gi_reconstruct's and
+igi_reconstruct's blocks; those two, a block pass and the scoring of its images hold OpenBLAS at one thread (_ONE_BLAS_THREAD).
 All are pure functions of the scenario, so runs replay bit-identically, whatever the pool's or BLAS's thread count.
 """
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _openblas() -> tuple | None:
 
 
 class _OneBlasThread:
-    """Holds OpenBLAS at one thread while any block pass or its scoring runs: the first entry saves the caller's count,
+    """Holds OpenBLAS at one thread while any block pass, replay or scoring runs: the first entry saves the caller's count,
     the last exit restores it. A pass's GEMMs are too small to gain from a second thread, whose busy-wait takes a core
     from _POOL, and a dot product split over two threads sums in another order than on one."""
 

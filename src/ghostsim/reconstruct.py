@@ -14,6 +14,8 @@ and needs no running means, which is what makes it streamable and immune to
 slow additive drift. The "paper-literal" normalization divides by 2N instead
 of 2(N-1). Any ordinal range of records reduces to float64 Sums (block_sums)
 and adjacent ranges merge exactly (fold): every consumer is a left fold.
+gi_reconstruct and igi_reconstruct sum blocks on the frame pool and fold them
+in ordinal order in the calling thread: no worker count changes their bytes.
 """
 from __future__ import annotations
 
@@ -22,11 +24,11 @@ import os
 import struct
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, replace
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
+from . import measurement
 from .errors import ContractError, DegenerateInputError, PgmFormatError, memory_guard
 from .measurement import MeasurementRecord, MeasurementSeries, NoiseSpec, Scenario, _injector, block_records, clean_blocks
 from .measurement import _ONE_BLAS_THREAD
@@ -98,13 +100,29 @@ def fold(a: Sums, b: Sums) -> Sums:
 
 
 def _correlate(series: MeasurementSeries, gi: bool, igi: bool) -> Sums:
-    s, step = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height)
-    blocks = (block_sums(s[None, a : a + step], series.frames[a : a + step], gi, igi) for a in range(0, len(series), step))
-    return reduce(fold, blocks, Sums(0))
+    """The series' Sums: measurement._POOL sums its blocks under the caller's np.geterr(), up to 2 * _WORKERS ahead, and
+    this thread folds them in ordinal order, OpenBLAS held at one thread: the bytes do not depend on either count."""
+    s, step, err = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height), np.geterr()
+
+    def sums(a: int) -> Sums:
+        with np.errstate(**err):  # numpy's error state does not reach pool threads
+            return block_sums(s[None, a : a + step], series.frames[a : a + step], gi, igi)
+
+    # the pool is looked up per call, as a forked child has a pool of its own
+    starts, pool, ahead, total = range(0, len(series), step), measurement._POOL, [], Sums(0)
+    try:
+        with _ONE_BLAS_THREAD:
+            for i in range(len(starts)):
+                ahead += [pool.submit(sums, a) for a in starts[i + len(ahead) : i + 1 + 2 * measurement._WORKERS]]
+                total = fold(total, ahead.pop(0).result())
+    finally:
+        for future in ahead:
+            future.cancel()
+    return total
 
 
 def gi_reconstruct(series: MeasurementSeries) -> np.ndarray:
-    """Mean-subtracted correlation image, float64 (height, width)."""
+    """Mean-subtracted correlation image, float64 (height, width), the same bytes for any pool or BLAS thread count."""
     return _correlate(series, gi=True, igi=False).gi((series.height, series.width))
 
 

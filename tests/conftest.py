@@ -54,6 +54,22 @@ def frame_workers(monkeypatch):
 
 
 @pytest.fixture
+def blas_threads():
+    """(get, set) of the process's OpenBLAS thread count; the count is put back after the test. Skips without OpenBLAS."""
+    import ghostsim.measurement as measurement
+
+    blas = measurement._openblas()
+    if blas is None:
+        pytest.skip("no OpenBLAS in this process")
+    get, put = blas
+    before = get()
+    try:
+        yield get, put
+    finally:
+        put(before)
+
+
+@pytest.fixture
 def series8(tmp_path):
     return synthetic_series(1234)
 

@@ -631,22 +631,6 @@ def test_a_frame_worker_error_is_the_run_error(tmp_path, capsys, monkeypatch, fr
     assert not (tmp_path / "new").exists()
 
 
-@pytest.fixture
-def blas_threads():
-    """(get, set) of the process's OpenBLAS thread count; the count is put back after the test. Skips without OpenBLAS."""
-    import ghostsim.measurement as measurement
-
-    blas = measurement._openblas()
-    if blas is None:
-        pytest.skip("no OpenBLAS in this process")
-    get, put = blas
-    before = get()
-    try:
-        yield get, put
-    finally:
-        put(before)
-
-
 def _record_blas_threads(monkeypatch, get, barrier=None) -> list:
     """The BLAS thread count at every block_sums call from now on; with a barrier, each thread's first call waits at it."""
     import ghostsim.reconstruct as reconstruct

@@ -208,15 +208,12 @@ def test_closing_a_stream_cancels_the_frames_not_started(monkeypatch):
     assert started in ([1], [1, 5])
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-def test_a_forked_child_makes_frames_on_a_pool_of_its_own():
-    # the parent's pool has run (items of 256 frames at 16x16); the child inherits it without its threads
-    scenario = _scenario(count=300)
-    expected = clean_bucket_series(scenario)
+def _in_a_forked_child(check) -> None:
+    """Assert that check() is true in a forked child, which has 60 s."""
     pid = os.fork()
     if pid == 0:
         try:
-            os._exit(0 if np.array_equal(clean_bucket_series(scenario), expected) else 1)
+            os._exit(0 if check() else 1)
         finally:
             os._exit(2)
     deadline = time.monotonic() + 60
@@ -226,6 +223,22 @@ def test_a_forked_child_makes_frames_on_a_pool_of_its_own():
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_makes_frames_on_a_pool_of_its_own():
+    # the parent's pool has run (items of 256 frames at 16x16); the child inherits it without its threads
+    scenario = _scenario(count=300)
+    expected = clean_bucket_series(scenario)
+    _in_a_forked_child(lambda: np.array_equal(clean_bucket_series(scenario), expected))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_a_forked_child_replays_on_a_pool_of_its_own():
+    # the parent's pool has summed 4 blocks of 256 records at 16x16; the child inherits it without its threads
+    series = simulate(_scenario(count=1000))
+    expected = gi_reconstruct(series)
+    _in_a_forked_child(lambda: np.array_equal(gi_reconstruct(series), expected))
 
 
 def test_clean_bucket_series_ignores_noise():

@@ -1,3 +1,5 @@
+import threading
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ghostsim.measurement as measurement
+import ghostsim.reconstruct as reconstruct
 from ghostsim import (
     ContractError,
     DegenerateInputError,
@@ -205,6 +209,65 @@ def test_streaming_from_simulation():
     for rec in series.records():
         acc.push(rec)
     assert_close_rel(acc.finalize(), igi_reconstruct(series), 1e-9)
+
+
+def _images(series):
+    """GI and both IGI normalizations of a series, as gi_reconstruct and igi_reconstruct give them."""
+    return [gi_reconstruct(series), igi_reconstruct(series), igi_reconstruct(series, "paper-literal")]
+
+
+def _serial_images(series):
+    """The same three images from a left fold of block_sums in this thread, one block_records block at a time."""
+    s, step, shape = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height), series.frames.shape[1:]
+    with measurement._ONE_BLAS_THREAD:
+        sums = reduce(fold, (block_sums(s[None, a : a + step], series.frames[a : a + step]) for a in range(0, len(series), step)), Sums(0))
+    return [sums.gi(shape), sums.igi(shape), sums.igi(shape, normalization="paper-literal")]
+
+
+@pytest.mark.parametrize("case", ["gsim-64x64-600", "f64-37x53-300", "f64-8x8-2", "f64-16x16-512"])
+def test_replay_does_not_depend_on_the_worker_count(tmp_path, frame_workers, monkeypatch, case):
+    # 64x64 and 37x53 take blocks of 256 records, as does 16x16, where 512 records are exactly two blocks
+    kind, size, count = case.split("-")
+    width, height = map(int, size.split("x"))
+    series = synthetic_series(5, int(count), width, height)
+    if kind == "gsim":
+        save_series(series, tmp_path / "s.gsim")
+        series = load_series(tmp_path / "s.gsim")
+        assert series.frames.dtype == np.float32
+    expected = _serial_images(series)
+    real, threads = reconstruct.block_sums, set()
+    monkeypatch.setattr(reconstruct, "block_sums", lambda *a: threads.add(threading.get_ident()) or real(*a))
+    for workers in (1, 3):
+        frame_workers(workers)
+        images = _images(series)
+        assert all(np.array_equal(image, want) for image, want in zip(images, expected)), workers
+    assert threads and threading.get_ident() not in threads  # the blocks are summed on the pool
+
+
+def test_replay_does_not_depend_on_the_callers_blas_threads(blas_threads):
+    # at 37x53, OpenBLAS splits a (1, 256) @ (256, 1961) GEMM over two threads in another summation order
+    get, put = blas_threads
+    series, replays = synthetic_series(7, 1200, 37, 53), []
+    for threads in (1, 2):
+        put(threads)
+        replays.append(_images(series))
+        assert get() == threads
+    assert all(np.array_equal(a, b) for a, b in zip(*replays))
+
+
+def test_replay_keeps_the_callers_floating_point_error_state():
+    # record 271, in the second block of 256, has an inf pixel. GI: inf - mean inf is invalid. IGI: the pixel's
+    # differences are +inf and -inf, and the bucket rises across both, so their products sum to inf - inf
+    series = synthetic_series(9, 300, 8, 8)
+    series.frames[270, 3, 4] = np.inf
+    series.s[269:272] = [10.0, 20.0, 30.0]
+    for replay in (gi_reconstruct, igi_reconstruct):
+        with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+            replay(series)
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+            warnings.simplefilter("always")
+            replay(series)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], replay.__name__
 
 
 def test_validity_flags():
