@@ -9,8 +9,9 @@ block pass is the one place a relative noise amplitude is resolved, so no frame
 cube is built. The breakdown sweep's nine amplitude rows share one frame pass.
 
 Everything here is seeded and deterministic. A rerun reproduces
-calibration.md exactly; calibration.json agrees to about 1e-16 relative,
-since the BLAS thread count can move the last digit of a reconstruction.
+calibration.md exactly; calibration.json agrees to about 1e-16 relative
+(the host, not the BLAS thread count, can move the last digits of its
+speckle and exponential sections).
 
     python3 scripts/calibrate.py [--out DIR] [--sections a,b,...]
 """
@@ -287,7 +288,8 @@ def _write_markdown(results: dict, path: Path) -> None:
         "Deterministic Monte Carlo spreads behind the frozen test thresholds.",
         "Regenerate with `python3 scripts/calibrate.py`; this file reproduces",
         "exactly, and `calibration.json` agrees to about 1e-16 relative (the",
-        "BLAS thread count can move its last digit).",
+        "host, not the BLAS thread count, can move the last digits of its",
+        "`speckle` and `exponential` sections).",
         "",
     ]
     if "speckle" in results:

@@ -11,8 +11,9 @@ clean_blocks makes each frame once, in ordinal blocks of about 8 MB, with its
 S0_n; one position switch (_injector) then adds Q_n. block_pass (in
 reconstruct: run_blocks and sweeps) holds one block at a time and alone resolves
 amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
-Off the calling thread, _POOL makes frames and their S0_n in place (_fill_item) and sums gi_reconstruct's and
-igi_reconstruct's blocks; those two, a block pass and the scoring of its images hold OpenBLAS at one thread (_ONE_BLAS_THREAD).
+Off the calling thread, _POOL makes frames and their S0_n (_fill_item) and sums gi_reconstruct's and igi_reconstruct's
+blocks, all through _in_order: results come back in ordinal order, at most 2 * _WORKERS calls ahead of the one awaited.
+Those two, a block pass and the scoring of its images hold OpenBLAS at one thread (_ONE_BLAS_THREAD).
 All are pure functions of the scenario, so runs replay bit-identically, whatever the pool's or BLAS's thread count.
 """
 from __future__ import annotations
@@ -23,10 +24,12 @@ import hashlib
 import os
 import struct
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
-from itertools import product, repeat
-from typing import Iterator
+from itertools import chain, product
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -40,6 +43,7 @@ POSITIONS = ("none", "A", "B", "C")
 _GSIM_MAGIC = b"GSIM"
 _GSIM_VERSION = 1
 _BLOCK = 256  # records per block at 64x64 and below: 8 MB of f64 frames
+_ITEM = 65536  # pixels per pool item: 16 frames at 64x64, one from 256x256 up (a thread's FFT scratch: 1 MB up to 256x256)
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
@@ -52,6 +56,22 @@ def _new_pool() -> None:
 _new_pool()
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
+
+
+def _in_order(fn: Callable, args: Iterable[tuple]) -> Iterator:
+    """Yield fn(*a) for each a of args, in order, run on _POOL at most 2 * _WORKERS calls past the one waited on. The
+    earliest call's error is raised in its place; closing cancels the calls not started. Nothing else submits to _POOL."""
+    pool, pending = _POOL, deque()  # looked up per call, as a forked child has a pool of its own
+    try:
+        for a in args:
+            pending.append(pool.submit(fn, *a))
+            if len(pending) > 2 * _WORKERS:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 @functools.cache
@@ -219,14 +239,6 @@ def block_records(width: int, height: int) -> int:
     return max(1, min(_BLOCK, _BLOCK * 4096 // (width * height)))
 
 
-def item_frames(width: int, height: int, pixels: int) -> int:
-    """Frames per pool item of about `pixels` pixels, at least one. pocketfft keeps the GIL for one 64x64 frame, not for
-    a batch of four, so a stream takes items of 16384 pixels: it holds O(_WORKERS * item) in flight. A block pass takes
-    items of 65536 pixels, 16 frames at 64x64: fewer futures and batches for the GIL, and a thread's complex scratch
-    stays at 1 MB, as a 256x256 frame needs anyway."""
-    return max(1, pixels // (width * height))
-
-
 def _fill_item(sp: SpeckleParams, first: int, frames: np.ndarray, mask: np.ndarray, s0: np.ndarray) -> tuple:
     """A pool item: clean frames first, first + 1, ... into frames and their buckets S0 into s0, in place; return both."""
     s0[:] = bucket_signals(fill_frames(sp, first, frames), mask)
@@ -236,16 +248,16 @@ def _fill_item(sp: SpeckleParams, first: int, frames: np.ndarray, mask: np.ndarr
 def clean_blocks(scenario: Scenario, s0: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (start, frames) per block of clean float64 frames, in ordinal order, in one reused buffer; set s0[start:].
 
-    _POOL fills a block and its S0 in place, in items of about 65536 pixels; this thread raises an item's error."""
-    sp, n = scenario.speckle, scenario.count
-    step, item = block_records(sp.width, sp.height), item_frames(sp.width, sp.height, 65536)
+    _POOL fills a block and its S0 in place, in items (_in_order); this thread raises an item's error."""
+    sp, n, mask = scenario.speckle, scenario.count, scenario.object_mask
+    step, item = block_records(sp.width, sp.height), max(1, _ITEM // (sp.width * sp.height))
     buffer = np.empty((min(step, n), sp.height, sp.width))
     for a in range(0, n, step):
         frames = buffer[: min(step, n - a)]
         cuts = range(item, len(frames), item)
-        firsts, s0_parts = range(a + 1, a + len(frames) + 1, item), np.split(s0[a : a + len(frames)], cuts)
-        for _ in _POOL.map(_fill_item, repeat(sp), firsts, np.split(frames, cuts), repeat(scenario.object_mask), s0_parts):
-            pass  # wait for every item, raising the first error
+        parts = zip(range(a + 1, a + len(frames) + 1, item), np.split(frames, cuts), np.split(s0[a : a + len(frames)], cuts))
+        with closing(_in_order(_fill_item, ((sp, k, f, mask, s) for k, f, s in parts))) as items:
+            deque(items, maxlen=0)  # wait for every item of the block before it is read
         yield a, frames
 
 
@@ -275,22 +287,14 @@ def simulate(scenario: Scenario) -> MeasurementSeries:
 
 def simulate_stream(scenario: Scenario) -> Iterator[MeasurementRecord]:
     """Yield records one at a time, in O(_WORKERS * item * width * height) memory: while an item's records are out,
-    _POOL makes the next _WORKERS items (frames and S0, as in clean_blocks). Closing cancels those not started."""
+    _POOL makes up to 2 * _WORKERS items past it (frames and S0, as in clean_blocks). Closing cancels those not started."""
     sp, n, inject = scenario.speckle, scenario.count, _injector(scenario)
-    item = item_frames(sp.width, sp.height, 16384)
-    starts, ahead = range(1, n + 1, item), []
-    try:
-        for i, first in enumerate(starts):
-            for k in starts[i + len(ahead) : i + 1 + _WORKERS]:
-                m = min(item, n + 1 - k)
-                frames = np.empty((m, sp.height, sp.width))
-                ahead.append(_POOL.submit(_fill_item, sp, k, frames, scenario.object_mask, np.empty(m)))
-            frames, s0 = ahead.pop(0).result()
-            for k, (frame, s) in enumerate(zip(frames, s0.tolist()), first):
-                yield MeasurementRecord(k, inject(k, s, frame), frame)
-    finally:
-        for future in ahead:
-            future.cancel()
+    item = max(1, _ITEM // (sp.width * sp.height))
+    sizes = ((k, min(item, n + 1 - k)) for k in range(1, n + 1, item))
+    items = ((sp, k, np.empty((m, sp.height, sp.width)), scenario.object_mask, np.empty(m)) for k, m in sizes)
+    with closing(_in_order(_fill_item, items)) as filled:
+        for k, (frame, s) in enumerate(chain.from_iterable(zip(frames, s0.tolist()) for frames, s0 in filled), 1):
+            yield MeasurementRecord(k, inject(k, s, frame), frame)
 
 
 def clean_bucket_series(scenario: Scenario) -> np.ndarray:

@@ -14,24 +14,25 @@ and needs no running means, which is what makes it streamable and immune to
 slow additive drift. The "paper-literal" normalization divides by 2N instead
 of 2(N-1). Any ordinal range of records reduces to float64 Sums (block_sums)
 and adjacent ranges merge exactly (fold): every consumer is a left fold.
-gi_reconstruct and igi_reconstruct sum blocks on the frame pool and fold them
-in ordinal order in the calling thread: no worker count changes their bytes.
+gi_reconstruct and igi_reconstruct sum blocks on the frame pool, up to
+2 x workers ahead (measurement._in_order), and fold them in ordinal order in
+the calling thread: no worker count changes their bytes.
 """
 from __future__ import annotations
 
 import math
 import os
 import struct
-from contextlib import nullcontext
+from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
-from . import measurement
 from .errors import ContractError, DegenerateInputError, PgmFormatError, memory_guard
 from .measurement import MeasurementRecord, MeasurementSeries, NoiseSpec, Scenario, _injector, block_records, clean_blocks
-from .measurement import _ONE_BLAS_THREAD
+from .measurement import _ONE_BLAS_THREAD, _in_order
 from .measurement import clean_bucket_series, patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
@@ -100,25 +101,16 @@ def fold(a: Sums, b: Sums) -> Sums:
 
 
 def _correlate(series: MeasurementSeries, gi: bool, igi: bool) -> Sums:
-    """The series' Sums: measurement._POOL sums its blocks under the caller's np.geterr(), up to 2 * _WORKERS ahead, and
-    this thread folds them in ordinal order, OpenBLAS held at one thread: the bytes do not depend on either count."""
+    """The series' Sums: measurement._in_order sums its blocks on the pool under the caller's np.geterr(), and this
+    thread folds them in ordinal order, OpenBLAS held at one thread: the bytes do not depend on either thread count."""
     s, step, err = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height), np.geterr()
 
     def sums(a: int) -> Sums:
         with np.errstate(**err):  # numpy's error state does not reach pool threads
             return block_sums(s[None, a : a + step], series.frames[a : a + step], gi, igi)
 
-    # the pool is looked up per call, as a forked child has a pool of its own
-    starts, pool, ahead, total = range(0, len(series), step), measurement._POOL, [], Sums(0)
-    try:
-        with _ONE_BLAS_THREAD:
-            for i in range(len(starts)):
-                ahead += [pool.submit(sums, a) for a in starts[i + len(ahead) : i + 1 + 2 * measurement._WORKERS]]
-                total = fold(total, ahead.pop(0).result())
-    finally:
-        for future in ahead:
-            future.cancel()
-    return total
+    with _ONE_BLAS_THREAD, closing(_in_order(sums, zip(range(0, len(series), step)))) as parts:
+        return reduce(fold, parts, Sums(0))
 
 
 def gi_reconstruct(series: MeasurementSeries) -> np.ndarray:

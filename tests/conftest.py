@@ -32,7 +32,7 @@ def synthetic_series(seed, count=50, width=8, height=8):
 
 @pytest.fixture
 def frame_workers(monkeypatch):
-    """frame_workers(k): from then on the test makes frames on a pool of k threads, k frames ahead in a stream.
+    """frame_workers(k): from then on the test makes frames and replays on a pool of k threads, up to 2k items ahead.
 
     The interpreter switches threads every 10 us instead of 5 ms meanwhile, so the threads interleave finely."""
     import ghostsim.measurement as measurement

@@ -5,6 +5,7 @@ import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 
 import numpy as np
@@ -166,27 +167,27 @@ def test_pooled_frames_equal_generate_frame_for_any_worker_count(frame_workers, 
         assert s0.tolist() == [bucket_signal(frame, scenario.object_mask) for frame in expected]
 
 
-@pytest.mark.parametrize("size, count, items", [(16, 263, [64] * 4 + [7]), (64, 29, [4] * 7 + [1]), (128, 5, [1] * 5)])
+@pytest.mark.parametrize("size, count, items", [(16, 2055, [256] * 8 + [7]), (64, 141, [16] * 8 + [13]), (128, 33, [4] * 8 + [1])])
 def test_stream_does_not_depend_on_the_worker_count(frame_workers, monkeypatch, size, count, items):
-    # items as in clean_blocks, 1 or 3 ahead, none a multiple of 3; position C adds its noise to the yielded frame
+    # items as in clean_blocks, 9 of them, 2 or 6 ahead, none a multiple of 3; position C adds its noise to the yielded frame
     wf = NoiseWaveform(kind="sinusoid", amplitude=30.0, frequency=0.5, sample_rate=25.0)
     noise = NoiseSpec(waveform=wf, position="C", spatial=SpatialNoiseMask(region="right_half"))
     sp = SpeckleParams(width=size, height=size, seed=5)
     scenario = Scenario(speckle=sp, object_mask=builtin_mask("disk", size, size), count=count, noise=noise)
     series, real, made = simulate(scenario), measurement.fill_frames, []
-    monkeypatch.setattr(measurement, "fill_frames", lambda params, first, out: made.append(len(out)) or real(params, first, out))
+    monkeypatch.setattr(measurement, "fill_frames", lambda params, first, out: made.append((first, len(out))) or real(params, first, out))
     for workers in (1, 3):
         frame_workers(workers)
         made[:] = []
         records = list(simulate_stream(scenario))
-        assert made == items  # submitted in ordinal order, so no sort
+        assert [m for _, m in sorted(made)] == items  # the pool's threads call it, so sort by ordinal
         assert [rec.n for rec in records] == list(range(1, count + 1))
         assert [rec.s for rec in records] == series.s.tolist()
         assert np.array_equal([rec.frame for rec in records], series.frames)
 
 
 def test_closing_a_stream_cancels_the_frames_not_started(monkeypatch):
-    # one thread, three items of 4 ahead: item 5 holds the thread until released, so 9 and 13 wait in the queue
+    # one thread, six items of 16 ahead: item 17 holds the thread until released, so 33 .. 97 wait in the queue
     pool, started, release = ThreadPoolExecutor(1), [], threading.Event()
     monkeypatch.setattr(measurement, "_POOL", pool)
     monkeypatch.setattr(measurement, "_WORKERS", 3)
@@ -200,12 +201,74 @@ def test_closing_a_stream_cancels_the_frames_not_started(monkeypatch):
 
     monkeypatch.setattr(measurement, "fill_frames", gated)
     sp = SpeckleParams(width=64, height=64, seed=5)
-    stream = simulate_stream(Scenario(speckle=sp, object_mask=builtin_mask("disk", 64, 64), count=16))
+    stream = simulate_stream(Scenario(speckle=sp, object_mask=builtin_mask("disk", 64, 64), count=128))
     assert [next(stream).n for _ in range(4)] == [1, 2, 3, 4]
     stream.close()
     release.set()
     pool.shutdown(wait=True)
-    assert started in ([1], [1, 5])
+    assert started in ([1], [1, 17])
+
+
+def test_in_order_yields_in_order_a_bounded_way_ahead_and_cancels_on_close(frame_workers, monkeypatch):
+    frame_workers(3)
+    finished, gate = [], threading.Event()
+
+    def late_first(i):  # call 0 waits until call 2 has finished
+        if i == 0:
+            gate.wait(30)
+        finished.append(i)
+        if i == 2:
+            gate.set()
+        return i * i
+
+    with closing(measurement._in_order(late_first, zip(range(3)))) as results:
+        assert list(results) == [0, 1, 4]
+    assert finished.index(2) < finished.index(0)
+
+    pulled = []
+
+    def args():
+        for i in range(40):
+            pulled.append(i)
+            yield (i,)
+
+    with closing(measurement._in_order(lambda i: i, args())) as results:
+        seen = [(r, len(pulled) - i) for i, r in enumerate(results)]  # calls submitted and not consumed, as r arrives
+    assert [r for r, _ in seen] == list(range(40)) and max(ahead for _, ahead in seen) == 2 * 3 + 1
+
+    later_failed, got = threading.Event(), []
+
+    def fails(i):  # call 3 fails first, then call 2
+        if i == 3:
+            later_failed.set()
+            raise ValueError("call 3")
+        if i == 2:
+            later_failed.wait(30)
+            raise ValueError("call 2")
+        return i
+
+    with pytest.raises(ValueError, match="call 2"), closing(measurement._in_order(fails, zip(range(6)))) as results:
+        got.extend(results)
+    assert got == [0, 1]
+
+    # one thread, five calls submitted: call 1 holds the thread, so 2 .. 4 wait in the queue until closed
+    pool, started, running, release = ThreadPoolExecutor(1), [], threading.Event(), threading.Event()
+    monkeypatch.setattr(measurement, "_POOL", pool)
+    monkeypatch.setattr(measurement, "_WORKERS", 2)
+
+    def held(i):
+        started.append(i)
+        if i == 1:
+            running.set()
+            release.wait(30)
+        return i
+
+    results = measurement._in_order(held, zip(range(10)))
+    assert next(results) == 0 and running.wait(30)
+    results.close()
+    release.set()
+    pool.shutdown(wait=True)
+    assert started == [0, 1]
 
 
 def _in_a_forked_child(check) -> None:
