@@ -5,9 +5,9 @@
     ghostsim sweep CONFIG.json --axis AXIS --values V1,V2,... [--out DIR]
     ghostsim export-mask NAME OUT.pgm [--width W] [--height H]
 
-Exit codes: 0 success, 2 configuration error, 3 contract/degenerate-input
-error, 4 I/O or file format error. Outputs are bytewise deterministic:
-no timestamps, stable key order, full float precision.
+Exit codes: 0 success, 2 configuration error, 3 contract/degenerate-input error, 4 I/O or file format error. main runs
+each command with numpy's overflow and invalid warnings off, so a non-finite image is one error: exit 3, or a sweep row's.
+Outputs are bytewise deterministic: no timestamps, stable key order, full float precision.
 """
 from __future__ import annotations
 
@@ -52,8 +52,7 @@ def evaluate(cfg: dict, out_dir: Path | None = None) -> tuple[BlockRun, Validity
     output, width = cfg["output"], cfg["speckle"]["width"]
     columns = (width // 4, (3 * width) // 4) if out_dir and output["emit_curves"] else ()
     gsim = out_dir / "series.gsim" if out_dir and output["emit_frames"] else None
-    with np.errstate(over="ignore", invalid="ignore"):  # reported by _judge, as one error
-        run = run_blocks(*build_scenario(cfg), output["igi_normalization"], columns, gsim)
+    run = run_blocks(*build_scenario(cfg), output["igi_normalization"], columns, gsim)
     return run, _judge(run)
 
 
@@ -140,24 +139,23 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
     shared = splits(base.noise) and axis != "noise-frequency" or axis == "N" and rel is None
     out_dir.mkdir(parents=True, exist_ok=True)
     fields = {}
-    with np.errstate(over="ignore", invalid="ignore"):  # _judge reports non-finite images
-        while len(fields) < len(rows):
-            pending = [i for i in range(len(rows)) if i not in fields][: None if shared else 1]
-            top, rel = max((rows[i] for i in pending), key=lambda row: row[0].count)
+    while len(fields) < len(rows):
+        pending = [i for i in range(len(rows)) if i not in fields][: None if shared else 1]
+        top, rel = max((rows[i] for i in pending), key=lambda row: row[0].count)
+        try:
+            finish = block_pass(top, rel, normalization, stops=frozenset(rows[i][0].count for i in pending))
+        except GhostsimError as exc:
+            fields.update({i: ["", "", "", f"error: {exc}"] for i in pending if rows[i][0].count == top.count})
+            continue
+        for i in pending:
             try:
-                finish = block_pass(top, rel, normalization, stops=frozenset(rows[i][0].count for i in pending))
+                validity = _judge(run := finish(rows[i][0], bucket=False))
+                with _ONE_BLAS_THREAD:  # as in run_scenario
+                    scores = [pearson(image, run.scenario.object_mask) for image in (run.gi, run.igi)]
+                fields[i] = [*map(repr, [*scores, validity.ratio]), "ok"]
             except GhostsimError as exc:
-                fields.update({i: ["", "", "", f"error: {exc}"] for i in pending if rows[i][0].count == top.count})
-                continue
-            for i in pending:
-                try:
-                    validity = _judge(run := finish(rows[i][0], bucket=False))
-                    with _ONE_BLAS_THREAD:  # as in run_scenario
-                        scores = [pearson(image, run.scenario.object_mask) for image in (run.gi, run.igi)]
-                    fields[i] = [*map(repr, [*scores, validity.ratio]), "ok"]
-                except GhostsimError as exc:
-                    fields[i] = ["", "", "", f"error: {exc}"]
-            finish = run = None  # held into the next pass, they cost peak RSS: heap its frame block would reuse
+                fields[i] = ["", "", "", f"error: {exc}"]
+        finish = run = None  # held into the next pass, they cost peak RSS: heap its frame block would reuse
     csv_path = out_dir / "sweep.csv"  # opened once every row is scored, so an interrupted sweep leaves none
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -200,6 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the command's one numpy policy: _judge reports non-finite images
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:

@@ -12,12 +12,13 @@ S0_n; one position switch (_injector) then adds Q_n. block_pass (in
 reconstruct: run_blocks and sweeps) holds one block at a time and alone resolves
 amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
 Off the calling thread, _POOL makes frames and their S0_n (_fill_item) and sums gi_reconstruct's and igi_reconstruct's
-blocks, all through _in_order: results come back in ordinal order, at most 2 * _WORKERS calls ahead of the one awaited.
+blocks, all through _in_order: in ordinal order, at most 2 * _WORKERS calls ahead, each in its caller's numpy error state.
 Those two, a block pass and the scoring of its images hold OpenBLAS at one thread (_ONE_BLAS_THREAD).
 All are pure functions of the scenario, so runs replay bit-identically, whatever the pool's or BLAS's thread count.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import functools
 import hashlib
@@ -59,12 +60,14 @@ if hasattr(os, "register_at_fork"):
 
 
 def _in_order(fn: Callable, args: Iterable[tuple]) -> Iterator:
-    """Yield fn(*a) for each a of args, in order, run on _POOL at most 2 * _WORKERS calls past the one waited on. The
-    earliest call's error is raised in its place; closing cancels the calls not started. Nothing else submits to _POOL."""
+    """Yield fn(*a) for each a of args, in order, run on _POOL in the caller's context (numpy's error state with it), at
+    most 2 * _WORKERS calls past the one waited on. The earliest call's error is raised in its place; closing cancels
+    the calls not started. Nothing else submits to _POOL."""
     pool, pending = _POOL, deque()  # looked up per call, as a forked child has a pool of its own
     try:
         for a in args:
-            pending.append(pool.submit(fn, *a))
+            # a copy per call, as of its submission: one Context cannot be entered by two threads at once
+            pending.append(pool.submit(contextvars.copy_context().run, fn, *a))
             if len(pending) > 2 * _WORKERS:
                 yield pending.popleft().result()
         while pending:

@@ -14,9 +14,9 @@ and needs no running means, which is what makes it streamable and immune to
 slow additive drift. The "paper-literal" normalization divides by 2N instead
 of 2(N-1). Any ordinal range of records reduces to float64 Sums (block_sums)
 and adjacent ranges merge exactly (fold): every consumer is a left fold.
-gi_reconstruct and igi_reconstruct sum blocks on the frame pool, up to
-2 x workers ahead (measurement._in_order), and fold them in ordinal order in
-the calling thread: no worker count changes their bytes.
+gi_reconstruct and igi_reconstruct sum blocks on the frame pool through
+measurement._in_order, in the caller's numpy error state, and fold them in
+ordinal order in the calling thread: no worker count changes their bytes.
 """
 from __future__ import annotations
 
@@ -101,15 +101,11 @@ def fold(a: Sums, b: Sums) -> Sums:
 
 
 def _correlate(series: MeasurementSeries, gi: bool, igi: bool) -> Sums:
-    """The series' Sums: measurement._in_order sums its blocks on the pool under the caller's np.geterr(), and this
-    thread folds them in ordinal order, OpenBLAS held at one thread: the bytes do not depend on either thread count."""
-    s, step, err = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height), np.geterr()
-
-    def sums(a: int) -> Sums:
-        with np.errstate(**err):  # numpy's error state does not reach pool threads
-            return block_sums(s[None, a : a + step], series.frames[a : a + step], gi, igi)
-
-    with _ONE_BLAS_THREAD, closing(_in_order(sums, zip(range(0, len(series), step)))) as parts:
+    """The series' Sums: measurement._in_order sums its blocks on the pool, and this thread folds them in ordinal order,
+    OpenBLAS held at one thread: the bytes do not depend on either thread count."""
+    s, step = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height)
+    blocks = ((s[None, a : a + step], series.frames[a : a + step], gi, igi) for a in range(0, len(series), step))
+    with _ONE_BLAS_THREAD, closing(_in_order(block_sums, blocks)) as parts:
         return reduce(fold, parts, Sums(0))
 
 

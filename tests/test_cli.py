@@ -4,6 +4,7 @@ import shutil
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -232,15 +233,28 @@ def test_non_finite_reconstruction_exits_3(tmp_path, capsys, monkeypatch):
     def unscorable(image, truth):  # a run that reconstructs, then fails while scored
         raise DegenerateInputError("background is constant; cnr undefined")
 
+    bright = []  # frames past float64: the speckle rescale overflows on the pool's threads, then S0, GI and validity
+    for mean in (1e307, 1e306):
+        bright.append(tmp_path / f"bright-{mean:g}.json")
+        speckle = {"width": 16, "height": 16, "mean_intensity": mean}
+        bright[-1].write_text(json.dumps({"speckle": speckle, "object": {"builtin": "disk"}, "count": 40}))
+
+    def quiet_main(argv):  # main, and no RuntimeWarning from any thread (a user would see it above the error line)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert not [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)], argv
+        return code
+
     out = tmp_path / "out"
-    for path, message in ((cfg, "GI image"), (scored, "cnr undefined")):
+    for path, message in ((cfg, "GI image"), *((path, "GI image") for path in bright), (scored, "cnr undefined")):
         if path == scored:
             monkeypatch.setattr(cli, "quality_report", unscorable)
         for emit_frames in (False, True):  # with frames, the run has started out/series.gsim before it fails
             data = json.loads(path.read_text())
             data["output"] = {"emit_frames": emit_frames}
             path.write_text(json.dumps(data))
-            assert main(["run", str(path), "--out", str(out / "nested")]) == 3
+            assert quiet_main(["run", str(path), "--out", str(out / "nested")]) == 3
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
             assert not out.exists()
@@ -251,6 +265,11 @@ def test_non_finite_reconstruction_exits_3(tmp_path, capsys, monkeypatch):
     assert main(["sweep", str(cfg), "--axis", "noise-amplitude", "--values", "1,1e308", "--out", str(out)]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()
     assert rows[1].endswith(",ok") and "error: the GI image has non-finite pixels" in rows[2]
+    capsys.readouterr()
+    assert quiet_main(["sweep", str(bright[0]), "--axis", "N", "--values", "20,40", "--out", str(out / "n")]) == 0
+    rows = (out / "n" / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all("error: the GI image has non-finite pixels" in row for row in rows)
+    assert capsys.readouterr().err == ""
 
 
 def test_sweep_checks_every_value_before_writing(tmp_path):

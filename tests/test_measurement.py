@@ -1,3 +1,4 @@
+import contextvars
 import math
 import os
 import signal
@@ -224,6 +225,11 @@ def test_in_order_yields_in_order_a_bounded_way_ahead_and_cancels_on_close(frame
     with closing(measurement._in_order(late_first, zip(range(3)))) as results:
         assert list(results) == [0, 1, 4]
     assert finished.index(2) < finished.index(0)
+
+    tag = contextvars.ContextVar("tag", default="unset")  # each call runs in the context its caller had at submission
+    tag.set("caller's")
+    with closing(measurement._in_order(lambda i: (i, tag.get()), zip(range(8)))) as results:
+        assert list(results) == [(i, "caller's") for i in range(8)]
 
     pulled = []
 

@@ -270,6 +270,36 @@ def test_replay_keeps_the_callers_floating_point_error_state():
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], replay.__name__
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_frames_keep_the_callers_floating_point_error_state(frame_workers, workers):
+    # mean_intensity 1e307 rescales each frame past float64 (speckle) and sums inf against 0 (S0), on the pool's threads
+    frame_workers(workers)
+    scenario = Scenario(SpeckleParams(16, 16, mean_intensity=1e307), builtin_mask("disk", 16, 16), 40)
+    for make in (lambda: measurement.clean_blocks(scenario, np.empty(40)), lambda: measurement.simulate_stream(scenario)):
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            list(make())
+        with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):  # sees every thread's warnings
+            warnings.simplefilter("always")
+            list(make())
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_igi_accumulator_does_not_depend_on_the_blas_thread_count(blas_threads):
+    # a push folds one record: np.outer and elementwise sums, no matrix product for OpenBLAS to split
+    get, put = blas_threads
+    for width, height in ((37, 53), (63, 63), (128, 128)):
+        scenario = Scenario(SpeckleParams(width, height, seed=3), builtin_mask("disk", width, height), 300)
+        images = []
+        for threads in (1, 2):
+            put(threads)
+            acc = IgiAccumulator(width, height)
+            for record in measurement.simulate_stream(scenario):
+                acc.push(record)
+            assert get() == threads
+            images.append(acc.finalize().tobytes())
+        assert images[0] == images[1], (width, height)
+
+
 def test_validity_flags():
     rng = np.random.Generator(np.random.PCG64(1))
     bucket = 100.0 + 10.0 * rng.standard_normal(500)
