@@ -10,8 +10,8 @@ cube is built. The breakdown sweep's nine amplitude rows share one frame pass.
 
 Everything here is seeded and deterministic. A rerun reproduces
 calibration.md exactly; calibration.json agrees to about 1e-16 relative
-(the host, not the BLAS thread count, can move the last digits of its
-speckle and exponential sections).
+(numpy's CPU-dispatched exp in speckle._transfer and the C library, not
+BLAS, can move its last digits from one host to another).
 
     python3 scripts/calibrate.py [--out DIR] [--sections a,b,...]
 """
@@ -287,9 +287,9 @@ def _write_markdown(results: dict, path: Path) -> None:
         "",
         "Deterministic Monte Carlo spreads behind the frozen test thresholds.",
         "Regenerate with `python3 scripts/calibrate.py`; this file reproduces",
-        "exactly, and `calibration.json` agrees to about 1e-16 relative (the",
-        "host, not the BLAS thread count, can move the last digits of its",
-        "`speckle` and `exponential` sections).",
+        "exactly, and `calibration.json` agrees to about 1e-16 relative (numpy's",
+        "CPU-dispatched `exp` in `speckle._transfer` and the C library, not",
+        "BLAS, can move its last digits from one host to another).",
         "",
     ]
     if "speckle" in results:

@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import build_scenario, load_config, parse_config_text
 from .errors import ConfigurationError, DegenerateInputError, GhostsimError, PgmFormatError
-from .measurement import _ONE_BLAS_THREAD, write_curve_csv
+from .measurement import write_curve_csv
 # unused here; perfbench/spans.py patches these names in this module
 from .measurement import clean_bucket_series, column_curve, save_series, simulate  # noqa: F401
 from .metrics import pearson, quality_report
@@ -70,8 +70,7 @@ def run_scenario(cfg: dict, out_dir: Path) -> dict:
     try:
         run, validity = evaluate(cfg, out_dir)
         images = {"gi": run.gi, "igi": run.igi}
-        with _ONE_BLAS_THREAD:  # scores of one thread's dot products, whatever the host's BLAS count
-            reports = {name: quality_report(image, run.scenario.object_mask) for name, image in images.items()}
+        reports = {name: quality_report(image, run.scenario.object_mask) for name, image in images.items()}
     except BaseException:
         if cfg["output"]["emit_frames"]:
             (out_dir / "series.gsim").unlink(missing_ok=True)
@@ -150,8 +149,7 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
         for i in pending:
             try:
                 validity = _judge(run := finish(rows[i][0], bucket=False))
-                with _ONE_BLAS_THREAD:  # as in run_scenario
-                    scores = [pearson(image, run.scenario.object_mask) for image in (run.gi, run.igi)]
+                scores = [pearson(image, run.scenario.object_mask) for image in (run.gi, run.igi)]
                 fields[i] = [*map(repr, [*scores, validity.ratio]), "ok"]
             except GhostsimError as exc:
                 fields[i] = ["", "", "", f"error: {exc}"]

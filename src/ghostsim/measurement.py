@@ -11,25 +11,21 @@ clean_blocks makes each frame once, in ordinal blocks of about 8 MB, with its
 S0_n; one position switch (_injector) then adds Q_n. block_pass (in
 reconstruct: run_blocks and sweeps) holds one block at a time and alone resolves
 amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
-Off the calling thread, _POOL makes frames and their S0_n (_fill_item) and sums gi_reconstruct's and igi_reconstruct's
-blocks, all through _in_order: in ordinal order, at most 2 * _WORKERS calls ahead, each in its caller's numpy error state.
-Those two, a block pass and the scoring of its images hold OpenBLAS at one thread (_ONE_BLAS_THREAD).
-All are pure functions of the scenario, so runs replay bit-identically, whatever the pool's or BLAS's thread count.
+Off the calling thread, _POOL makes frames and their S0_n (_fill_item) and sums a block pass's pixel slabs and a replay's
+blocks, all through _in_order: in ordinal order, at most 2 * _WORKERS calls ahead, in the caller's numpy error state.
+All are pure functions of the scenario and no sum calls BLAS, so no pool size or BLAS setting moves a byte of a run.
 """
 from __future__ import annotations
 
 import contextvars
-import ctypes
-import functools
 import hashlib
 import os
 import struct
-import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from itertools import chain, product
+from itertools import chain
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -75,47 +71,6 @@ def _in_order(fn: Callable, args: Iterable[tuple]) -> Iterator:
     finally:
         for future in pending:
             future.cancel()
-
-
-@functools.cache
-def _openblas() -> tuple | None:
-    """(get_num_threads, set_num_threads) of the OpenBLAS mapped into this process, or None (non-Linux, MKL, ...)."""
-    try:
-        with open("/proc/self/maps") as fh:
-            handles = [ctypes.CDLL(lib) for lib in sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})]
-    except OSError:
-        return None
-    for handle, prefix, suffix in product(handles, ("scipy_openblas", "openblas"), ("64_", "")):
-        get, put = (getattr(handle, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
-        if get is not None and put is not None:
-            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
-            return get, put
-    return None
-
-
-class _OneBlasThread:
-    """Holds OpenBLAS at one thread while any block pass, replay or scoring runs: the first entry saves the caller's count,
-    the last exit restores it. A pass's GEMMs are too small to gain from a second thread, whose busy-wait takes a core
-    from _POOL, and a dot product split over two threads sums in another order than on one."""
-
-    def __init__(self) -> None:
-        self._lock, self._depth, self._saved = threading.Lock(), 0, 1
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if self._depth == 0 and (blas := _openblas()):
-                self._saved = blas[0]()
-                blas[1](1)
-            self._depth += 1
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._depth -= 1
-            if self._depth == 0 and (blas := _openblas()):
-                blas[1](self._saved)
-
-
-_ONE_BLAS_THREAD = _OneBlasThread()
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,18 @@ from .errors import ContractError, DegenerateInputError
 
 
 def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation over all pixels."""
+    """Pearson correlation over all pixels; its sums are reductions of elementwise products, not BLAS dot products."""
     if a.shape != b.shape:
         raise ContractError(f"shape mismatch: {a.shape} vs {b.shape}")
     x = np.asarray(a, dtype=np.float64).ravel()
     y = np.asarray(b, dtype=np.float64).ravel()
     x = x - x.mean()
     y = y - y.mean()
-    vx = float(x @ x)
-    vy = float(y @ y)
+    vx = float(np.add.reduce(x * x))
+    vy = float(np.add.reduce(y * y))
     if vx == 0.0 or vy == 0.0:
         raise DegenerateInputError("pearson undefined for a constant image")
-    return float(x @ y) / math.sqrt(vx * vy)
+    return float(np.add.reduce(x * y)) / math.sqrt(vx * vy)
 
 
 def cnr(image: np.ndarray, truth: np.ndarray) -> float:
@@ -40,7 +40,7 @@ def cnr(image: np.ndarray, truth: np.ndarray) -> float:
 
 
 def affine_mse(image: np.ndarray, truth: np.ndarray) -> float:
-    """MSE after the best least-squares affine fit a*image + b to truth.
+    """MSE after the best least-squares affine fit a*image + b to truth: var(truth) for a constant image.
 
     Removes the arbitrary scale and offset of a correlation image before
     comparing levels.
@@ -49,9 +49,11 @@ def affine_mse(image: np.ndarray, truth: np.ndarray) -> float:
         raise ContractError(f"shape mismatch: {image.shape} vs {truth.shape}")
     x = np.asarray(image, dtype=np.float64).ravel()
     y = np.asarray(truth, dtype=np.float64).ravel()
-    design = np.stack([x, np.ones_like(x)], axis=1)
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = design @ coef - y
+    x = x - x.mean()
+    y = y - y.mean()
+    sxx = np.add.reduce(x * x)
+    slope = np.add.reduce(x * y) / sxx if sxx > 0.0 else 0.0  # closed form; the offset takes the means
+    resid = slope * x - y
     return float(np.mean(resid * resid))
 
 

@@ -14,29 +14,38 @@ and needs no running means, which is what makes it streamable and immune to
 slow additive drift. The "paper-literal" normalization divides by 2N instead
 of 2(N-1). Any ordinal range of records reduces to float64 Sums (block_sums)
 and adjacent ranges merge exactly (fold): every consumer is a left fold.
-gi_reconstruct and igi_reconstruct sum blocks on the frame pool through
-measurement._in_order, in the caller's numpy error state, and fold them in
-ordinal order in the calling thread: no worker count changes their bytes.
+Each sum is an elementwise product reduced in a fixed order, never BLAS, so
+no CPU or thread count moves a byte. gi_reconstruct and igi_reconstruct sum
+blocks on the frame pool through measurement._in_order, in the caller's numpy
+error state, and fold them in ordinal order; a block pass sums a block's
+pixel slabs there.
 """
 from __future__ import annotations
 
 import math
 import os
 import struct
+import threading
+from collections import deque
 from contextlib import closing, nullcontext
 from dataclasses import asdict, dataclass, replace
 from functools import reduce
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, PgmFormatError, memory_guard
 from .measurement import MeasurementRecord, MeasurementSeries, NoiseSpec, Scenario, _injector, block_records, clean_blocks
-from .measurement import _ONE_BLAS_THREAD, _in_order
+from .measurement import _in_order
 from .measurement import clean_bucket_series, patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
 
+_SLAB = 65536  # records x pixels per slab of block_sums: 256 pixels of a 256-record block
+# A thread's float64 work space for _slab_sums, about (K + 2) * _SLAB values, kept between calls: fresh temporaries
+# this large come from mmap, and faulting their pages in for every slab made a replay's sums up to twice as slow.
+_SPACE = threading.local()
 _F64_MAGIC = b"GF64"
 _F64_VERSION = 1
 
@@ -64,24 +73,57 @@ class Sums:
     last: tuple | None = None           # and of the last
 
     def gi(self, shape: tuple, weights=(1.0,)) -> np.ndarray:
-        return (np.asarray(weights) @ self.comoment / self.n).reshape(shape)
+        return (_weigh(weights, self.comoment) / self.n).reshape(shape)
 
     def igi(self, shape: tuple, weights=(1.0,), normalization: str = "unbiased") -> np.ndarray:
-        return (np.asarray(weights) @ self.diffsum / _norm_divisor(normalization, self.n - 1)).reshape(shape)
+        return (_weigh(weights, self.diffsum) / _norm_divisor(normalization, self.n - 1)).reshape(shape)
 
 
-def block_sums(rows: np.ndarray, frames: np.ndarray, gi: bool = True, igi: bool = True) -> Sums:
-    """The Sums of one block alone: rows (K, B) float64 bucket values of the B frames (B, height, width), any float dtype."""
+def _weigh(weights, sums: np.ndarray) -> np.ndarray:
+    """weights[0] * sums[0] + weights[1] * sums[1] + ..., added in that order: c0 + A * c1 for weights [1, A]."""
+    return np.add.reduce(np.asarray(weights)[:, None] * sums, axis=0)
+
+
+def _slab_sums(flat: np.ndarray, cut: slice, d_rows, c_rows, mean_f, comoment, diffsum) -> None:
+    """Fill pixels cut in place: bucket differences d_rows (K, B - 1, 1) times frame differences into diffsum, centered
+    buckets c_rows (K, B, 1) times centered frames into comoment (None: not asked), each added record by record (axis 1)."""
+    k, m, width = len(c_rows if d_rows is None else d_rows), len(flat), cut.stop - cut.start
+    space = getattr(_SPACE, "array", np.empty(0))
+    if space.size < (k + 2) * m * width:
+        space = _SPACE.array = np.empty((k + 2) * m * width)
+    space = space[: (k + 2) * m * width].reshape(k + 2, m, width)
+    frames, products = space[0], space[2:]
+    frames[:] = flat[:, cut]
+    if d_rows is not None:
+        steps = np.subtract(frames[1:], frames[:-1], out=space[1, 1:])
+        diffsum[:, cut] = np.add.reduce(np.multiply(d_rows, steps, out=products[:, 1:]), axis=1)
+    if c_rows is not None:
+        mean = mean_f[cut] = frames.mean(axis=0)
+        frames -= mean  # centered before multiplying
+        comoment[:, cut] = np.add.reduce(np.multiply(c_rows, frames, out=products), axis=1)
+
+
+def block_sums(rows: np.ndarray, frames: np.ndarray, gi: bool = True, igi: bool = True, each=starmap) -> Sums:
+    """The Sums of one block alone: rows (K, B) float64 bucket values of the B frames (B, height, width), any float dtype.
+
+    each(_slab_sums, args) sums pixel slabs of about _SLAB // B, the bytes the same whatever the slabs: starmap in this
+    thread, or measurement._in_order on the pool."""
     m, flat = len(frames), frames.reshape(len(frames), -1)
+    k, p = len(rows), flat.shape[1]
     mean_s = mean_f = comoment = diffsum = 0.0
-    first = last = None
+    first = last = c_rows = d_rows = None
     if gi:
-        mean_s, mean_f = rows.mean(axis=1), flat.mean(axis=0, dtype=np.float64)
-        comoment = (rows - mean_s[:, None]) @ (flat - mean_f)  # centered before multiplying
+        mean_s, mean_f, comoment = rows.mean(axis=1), np.empty(p), np.empty((k, p))
+        c_rows = (rows - mean_s[:, None])[:, :, None]
     if igi:
-        diffsum = np.diff(rows, axis=1) @ np.subtract(flat[1:], flat[:-1], dtype=np.float64) if m > 1 else 0.0
         first = (rows[:, 0].copy(), flat[0].astype(np.float64))  # a view would keep the block alive
         last = first if m == 1 else (rows[:, -1].copy(), flat[-1].astype(np.float64))
+        if m > 1:
+            diffsum, d_rows = np.empty((k, p)), np.diff(rows)[:, :, None]
+    if c_rows is not None or d_rows is not None:  # not for a one-record push of IgiAccumulator
+        slabs = -(-p * m // _SLAB)  # even cuts: no slab is one pixel wide, whose sum numpy would take pairwise
+        cuts = (slice(p * i // slabs, p * (i + 1) // slabs) for i in range(slabs))
+        deque(each(_slab_sums, ((flat, cut, d_rows, c_rows, mean_f, comoment, diffsum) for cut in cuts)), maxlen=0)
     return Sums(m, mean_s, mean_f, comoment, diffsum, first, last)
 
 
@@ -101,16 +143,16 @@ def fold(a: Sums, b: Sums) -> Sums:
 
 
 def _correlate(series: MeasurementSeries, gi: bool, igi: bool) -> Sums:
-    """The series' Sums: measurement._in_order sums its blocks on the pool, and this thread folds them in ordinal order,
-    OpenBLAS held at one thread: the bytes do not depend on either thread count."""
+    """The series' Sums: measurement._in_order sums its blocks on the pool, each block's slabs inline in its pool thread
+    (no pool call waits on the pool), and this thread folds them in ordinal order: no thread count moves a byte."""
     s, step = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height)
     blocks = ((s[None, a : a + step], series.frames[a : a + step], gi, igi) for a in range(0, len(series), step))
-    with _ONE_BLAS_THREAD, closing(_in_order(block_sums, blocks)) as parts:
+    with closing(_in_order(block_sums, blocks)) as parts:
         return reduce(fold, parts, Sums(0))
 
 
 def gi_reconstruct(series: MeasurementSeries) -> np.ndarray:
-    """Mean-subtracted correlation image, float64 (height, width), the same bytes for any pool or BLAS thread count."""
+    """Mean-subtracted correlation image, float64 (height, width), the same bytes on any host and any pool size."""
     return _correlate(series, gi=True, igi=False).gi((series.height, series.width))
 
 
@@ -146,7 +188,7 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
     the .gsim records as each block finishes. Where splits, S0 and u are correlated side by side as G0 + A*G1 (a
     row may differ in A too; a run and the rerun of its resolved manifest take the same arithmetic), and a row's S
     is built (and patched into gsim) only given bucket. Other cases correlate S, whose A clean_bucket_series resolves.
-    Blocks fold with OpenBLAS held at one thread (_ONE_BLAS_THREAD), so the bits do not depend on the host's BLAS count.
+    A block's pixel slabs are summed on the pool, which is idle between blocks (block_sums through _in_order).
     """
     noise, sp, n = scenario.noise, scenario.speckle, scenario.count
     split = splits(noise)
@@ -158,7 +200,7 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
     unit = replace(noise, waveform=replace(noise.waveform, amplitude=1.0))
     inject = _injector(replace(scenario, noise=unit) if split else scenario)
     sums, stopped = Sums(0), {}
-    with (open(gsim, "wb") if gsim is not None else nullcontext()) as fh, _ONE_BLAS_THREAD:
+    with (open(gsim, "wb") if gsim is not None else nullcontext()) as fh:
         if fh is not None:
             write_gsim_header(fh, sp.width, sp.height, n)
         for a, frames in clean_blocks(scenario, s0):
@@ -167,8 +209,8 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
             s[a:b] = [inject(k, 0.0 if split else s0[k - 1], frame) for k, frame in enumerate(frames, a + 1)]
             rows = np.stack((s0[a:b], s[a:b])) if split else s[None, a:b]
             for stop in (stop for stop in stops - {n} if a < stop <= b):
-                stopped[stop] = fold(sums, block_sums(rows[:, : stop - a], frames[: stop - a]))
-            sums = fold(sums, block_sums(rows, frames))
+                stopped[stop] = fold(sums, block_sums(rows[:, : stop - a], frames[: stop - a], each=_in_order))
+            sums = fold(sums, block_sums(rows, frames, each=_in_order))
             for curve, column in zip(curves, columns):
                 curve[a:b] = frames[:, :, column].sum(axis=1, dtype=np.float64)
             if fh is not None:

@@ -1,3 +1,5 @@
+import ctypes
+import itertools
 import os
 import sys
 import tempfile
@@ -53,12 +55,26 @@ def frame_workers(monkeypatch):
             pool.shutdown(cancel_futures=True)
 
 
+def _openblas():
+    """(get_num_threads, set_num_threads) of the OpenBLAS mapped into this process, or None (non-Linux, MKL, ...)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib, prefix, suffix in itertools.product(libs, ("scipy_openblas", "openblas"), ("64_", "")):
+        handle = ctypes.CDLL(lib)
+        get, put = (getattr(handle, f"{prefix}_{verb}_num_threads{suffix}", None) for verb in ("get", "set"))
+        if get is not None and put is not None:
+            get.argtypes, get.restype, put.argtypes, put.restype = [], ctypes.c_int, [ctypes.c_int], None
+            return get, put
+    return None
+
+
 @pytest.fixture
 def blas_threads():
     """(get, set) of the process's OpenBLAS thread count; the count is put back after the test. Skips without OpenBLAS."""
-    import ghostsim.measurement as measurement
-
-    blas = measurement._openblas()
+    blas = _openblas()
     if blas is None:
         pytest.skip("no OpenBLAS in this process")
     get, put = blas

@@ -2,7 +2,6 @@ import csv
 import json
 import shutil
 import tempfile
-import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -13,13 +12,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghostsim import clean_bucket_series, column_curve, load_f64, load_mask, save_mask, save_series, simulate
-from ghostsim import write_curve_csv
+from ghostsim import builtin_mask, quality_report, write_curve_csv
 from ghostsim.cli import SWEEP_AXES, evaluate, main
 from ghostsim.presets import PRESET_NAMES, preset_config
 from ghostsim.scene import BUILTIN_MASKS
 from ghostsim.config import build_scenario, parse_config_text
 from ghostsim.errors import ContractError, DegenerateInputError
-from ghostsim.reconstruct import block_pass
 
 from conftest import assert_close_rel
 
@@ -650,26 +648,9 @@ def test_a_frame_worker_error_is_the_run_error(tmp_path, capsys, monkeypatch, fr
     assert not (tmp_path / "new").exists()
 
 
-def _record_blas_threads(monkeypatch, get, barrier=None) -> list:
-    """The BLAS thread count at every block_sums call from now on; with a barrier, each thread's first call waits at it."""
-    import ghostsim.reconstruct as reconstruct
-
-    real, seen, waited = reconstruct.block_sums, [], set()
-
-    def recording(*args, **kwargs):
-        if barrier is not None and threading.get_ident() not in waited:
-            waited.add(threading.get_ident())
-            barrier.wait()
-        seen.append(get())
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(reconstruct, "block_sums", recording)
-    return seen
-
-
 @pytest.mark.parametrize("case", ["none", "C-rel"])
 def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path, blas_threads, case):
-    # at 37x53, OpenBLAS splits a (1, 256) @ (256, 1961) GEMM over two threads in another summation order
+    # 37x53: a shape where a BLAS (1, 256) @ (256, 1961) product split over two threads sums in another order
     get, put = blas_threads
     data = {"speckle": {"width": 37, "height": 53, "seed": 11}, "object": {"builtin": "disk"}, "count": 600,
             "output": {"emit_frames": True, "emit_curves": True}}
@@ -690,7 +671,7 @@ def test_outputs_do_not_depend_on_the_callers_blas_threads(tmp_path, blas_thread
 
 
 def test_scores_do_not_depend_on_the_callers_blas_threads(tmp_path, blas_threads):
-    # at 128x128, OpenBLAS splits pearson's dot products of 16384 pixels over two threads in another summation order
+    # 128x128: a size where a BLAS dot product of 16384 pixels split over two threads sums in another order
     get, put = blas_threads
     data = {"speckle": {"width": 128, "height": 128, "seed": 11}, "object": {"builtin": "disk"}, "count": 150,
             "noise": _ENGINE_CASES["B-rel"]}
@@ -705,56 +686,16 @@ def test_scores_do_not_depend_on_the_callers_blas_threads(tmp_path, blas_threads
         assert get() == threads
         scores.append({name: (out / name).read_text() for name in ("run/metrics_gi.json", "run/metrics_igi.json", "s/sweep.csv")})
     assert scores[0] == scores[1]
-
-
-def test_a_block_pass_runs_on_one_blas_thread_and_restores_the_callers_count(tmp_path, monkeypatch, blas_threads):
-    get, put = blas_threads
-    put(2)
-    seen = _record_blas_threads(monkeypatch, get)
-    path = _small_cfg(tmp_path, **_ENGINE_CASES["B-rel"])
-    assert main(["run", str(path), "--out", str(tmp_path / "run")]) == 0
-    assert get() == 2
-    assert main(["sweep", str(path), "--axis", "N", "--values", "10,40", "--out", str(tmp_path / "s")]) == 0
-    assert get() == 2
-
-    _fail_at_frame_300(monkeypatch, ContractError)
-    cfg = json.loads(path.read_text())
-    path.write_text(json.dumps({**cfg, "count": 700}))
-    assert main(["run", str(path), "--out", str(tmp_path / "failed")]) == 3
-    assert get() == 2
-    assert seen and set(seen) == {1}
-
-
-def test_overlapping_block_passes_restore_the_callers_blas_count(monkeypatch, blas_threads):
-    get, put = blas_threads
-    put(2)
-    seen = _record_blas_threads(monkeypatch, get, threading.Barrier(2, timeout=60))
-    cfg = {"speckle": {"width": 16, "height": 16, "seed": 5}, "object": {"builtin": "disk"}}
-    # the short pass exits while the long one still folds blocks: those must still run on one thread
-    scenarios = [build_scenario(parse_config_text(json.dumps({**cfg, "count": count})))[0] for count in (300, 3000)]
-    runs, threads = [], [threading.Thread(target=lambda s=s: runs.append(block_pass(s)())) for s in scenarios]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=120)
-        assert not thread.is_alive()
-    assert len(runs) == 2 and get() == 2
-    assert len(seen) > 12 and set(seen) == {1}
-
-
-def test_without_openblas_a_run_touches_no_blas_state(tmp_path, monkeypatch, blas_threads):
-    import ghostsim.measurement as measurement
-
-    get, put = blas_threads
-    put(2)
-    path, trees = _small_cfg(tmp_path, **_ENGINE_CASES["C-rel"]), []
-    for lookup, threads in ((measurement._openblas, 1), (lambda: None, 2)):
-        monkeypatch.setattr(measurement, "_openblas", lookup)
-        seen = _record_blas_threads(monkeypatch, get)
-        assert main(["run", str(path), "--out", str(tmp_path / str(threads))]) == 0
-        trees.append(_tree(tmp_path / str(threads)))
-        assert get() == 2 and set(seen) == {threads}
-    assert trees[0] == trees[1]
+    # metrics called directly, at sizes where a BLAS dot product splits over two threads in another summation order
+    rng = np.random.Generator(np.random.PCG64(12))
+    for size in (128, 256):
+        truth = builtin_mask("disk", size, size)
+        image = truth + rng.standard_normal((size, size))
+        reports = []
+        for threads in (1, 2):
+            put(threads)
+            reports.append(repr(quality_report(image, truth).to_dict()))
+        assert reports[0] == reports[1], size
 
 
 def test_evaluate_holds_no_frame_cube(tmp_path):

@@ -87,6 +87,25 @@ def test_affine_mse_fits_scale_and_offset():
     assert base > 0.0
 
 
+def _lstsq_mse(image, truth):
+    """affine_mse by LAPACK least squares on the design [image, 1]."""
+    design = np.stack([image.ravel(), np.ones(image.size)], axis=1)
+    coef, *_ = np.linalg.lstsq(design, truth.ravel(), rcond=None)
+    resid = design @ coef - truth.ravel()
+    return float(np.mean(resid * resid))
+
+
+def test_affine_mse_is_the_least_squares_fit_and_var_of_truth_for_a_constant_image():
+    rng = np.random.Generator(np.random.PCG64(8))
+    for shape, offset, scale in (((16, 16), 0.0, 1.0), ((37, 53), 1e3, 1e-2), ((128, 128), -5.0, 1e6)):
+        truth = (rng.uniform(size=shape) < 0.3).astype(np.float64)
+        for image in (offset + scale * (truth + rng.standard_normal(shape)), offset + scale * rng.exponential(size=shape)):
+            assert affine_mse(image, truth) == pytest.approx(_lstsq_mse(image, truth), rel=1e-12), shape
+    truth = (rng.uniform(size=(16, 16)) < 0.3).astype(np.float64)
+    for value in (0.0, 0.1, 3.0, -1e6):
+        assert affine_mse(np.full(truth.shape, value), truth) == pytest.approx(np.var(truth), rel=1e-12), value
+
+
 def test_quality_report_shape():
     x, y = _noisy_pair(7)
     truth = (y > 0).astype(np.float64)

@@ -1,6 +1,7 @@
 import threading
 import warnings
 from functools import reduce
+from itertools import starmap
 
 import numpy as np
 import pytest
@@ -219,9 +220,30 @@ def _images(series):
 def _serial_images(series):
     """The same three images from a left fold of block_sums in this thread, one block_records block at a time."""
     s, step, shape = np.asarray(series.s, dtype=np.float64), block_records(series.width, series.height), series.frames.shape[1:]
-    with measurement._ONE_BLAS_THREAD:
-        sums = reduce(fold, (block_sums(s[None, a : a + step], series.frames[a : a + step]) for a in range(0, len(series), step)), Sums(0))
+    sums = reduce(fold, (block_sums(s[None, a : a + step], series.frames[a : a + step]) for a in range(0, len(series), step)), Sums(0))
     return [sums.gi(shape), sums.igi(shape), sums.igi(shape, normalization="paper-literal")]
+
+
+@pytest.mark.parametrize("width, height", [(64, 64), (37, 53), (63, 63), (256, 256)])
+def test_block_sums_add_records_in_ordinal_order_whatever_the_slabs(monkeypatch, frame_workers, width, height):
+    # the reference adds one record's products at a time, in ordinal order, over the whole frame; the 40-record block
+    # is cut in slabs of 37, 256 and every pixel
+    series = synthetic_series(3, 40, width, height)
+    frames, rows = series.frames.astype(np.float32), np.stack([series.s, np.sin(np.arange(40.0))])
+    flat = frames.reshape(40, -1).astype(np.float64)
+    centered, dr, df = rows - rows.mean(axis=1)[:, None], np.diff(rows), np.diff(flat, axis=0)
+    mean_f = flat.mean(axis=0)
+    comoment, diffsum = centered[:, :1] * (flat[0] - mean_f), dr[:, :1] * df[0]
+    for b in range(1, 40):
+        comoment += centered[:, b : b + 1] * (flat[b] - mean_f)
+    for b in range(1, 39):
+        diffsum += dr[:, b : b + 1] * df[b]
+    frame_workers(3)
+    for slab, each in ((37 * 40, starmap), (256 * 40, starmap), (width * height * 40, starmap), (256 * 40, measurement._in_order)):
+        monkeypatch.setattr(reconstruct, "_SLAB", slab)
+        sums = block_sums(rows, frames, each=each)
+        assert sums.mean_f.tobytes() == mean_f.tobytes(), slab
+        assert sums.comoment.tobytes() == comoment.tobytes() and sums.diffsum.tobytes() == diffsum.tobytes(), slab
 
 
 @pytest.mark.parametrize("case", ["gsim-64x64-600", "f64-37x53-300", "f64-8x8-2", "f64-16x16-512"])
@@ -245,7 +267,7 @@ def test_replay_does_not_depend_on_the_worker_count(tmp_path, frame_workers, mon
 
 
 def test_replay_does_not_depend_on_the_callers_blas_threads(blas_threads):
-    # at 37x53, OpenBLAS splits a (1, 256) @ (256, 1961) GEMM over two threads in another summation order
+    # 37x53: a shape where a BLAS (1, 256) @ (256, 1961) product split over two threads sums in another order
     get, put = blas_threads
     series, replays = synthetic_series(7, 1200, 37, 53), []
     for threads in (1, 2):
