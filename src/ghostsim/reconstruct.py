@@ -42,9 +42,10 @@ from .measurement import clean_bucket_series, patch_gsim_buckets, resolve_amplit
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
 
-_SLAB = 65536  # records x pixels per slab of block_sums: 256 pixels of a 256-record block
-# A thread's float64 work space for _slab_sums, about (K + 2) * _SLAB values, kept between calls: fresh temporaries
-# this large come from mmap, and faulting their pages in for every slab made a replay's sums up to twice as slow.
+_SLAB = 131072  # records x pixels per slab of block_sums: 512 pixels of a 256-record block
+# A thread's float64 work space for _slab_sums, the K product slabs of at most _SLAB values each, kept between calls:
+# fresh temporaries this large come from mmap, and faulting their pages in for every slab made a replay's sums up to
+# twice as slow.
 _SPACE = threading.local()
 _F64_MAGIC = b"GF64"
 _F64_VERSION = 1
@@ -84,30 +85,51 @@ def _weigh(weights, sums: np.ndarray) -> np.ndarray:
     return np.add.reduce(np.asarray(weights)[:, None] * sums, axis=0)
 
 
+def _record_sums(products: np.ndarray) -> np.ndarray:
+    """products (..., m, width) added over m record by record: reduce would add a one-pixel-wide slab's pairwise."""
+    if products.shape[-1] > 1:
+        return np.add.reduce(products, axis=-2)
+    return np.add.accumulate(products, axis=-2)[..., -1, :]
+
+
+def _times_rows(rows: np.ndarray, products: np.ndarray, center=None) -> None:
+    """products[k] = rows[k] * (products[0] - center) for bucket rows (K, m, 1), in place: row 0 is multiplied last."""
+    with np.errstate():  # the caller's error state, and its buffer size back on exit
+        # numpy 2.4's default 8192-value buffers copy a broadcast (m, 1) or (width,) operand: about half the speed
+        np.setbufsize(16)
+        if center is not None:
+            products[0] -= center
+        np.multiply(rows[1:], products[0], out=products[1:])
+        products[0] *= rows[0]
+
+
 def _slab_sums(flat: np.ndarray, cut: slice, d_rows, c_rows, mean_f, comoment, diffsum) -> None:
     """Fill pixels cut in place: bucket differences d_rows (K, B - 1, 1) times frame differences into diffsum, centered
-    buckets c_rows (K, B, 1) times centered frames into comoment (None: not asked), each added record by record (axis 1)."""
+    buckets c_rows (K, B, 1) times centered frames into comoment (None: not asked), each added record by record."""
     k, m, width = len(c_rows if d_rows is None else d_rows), len(flat), cut.stop - cut.start
     space = getattr(_SPACE, "array", np.empty(0))
-    if space.size < (k + 2) * m * width:
-        space = _SPACE.array = np.empty((k + 2) * m * width)
-    space = space[: (k + 2) * m * width].reshape(k + 2, m, width)
-    frames, products = space[0], space[2:]
-    frames[:] = flat[:, cut]
+    if space.size < k * m * width:
+        space = _SPACE.array = np.empty(k * m * width)
+    products, part = space[: k * m * width].reshape(k, m, width), flat[:, cut]
     if d_rows is not None:
-        steps = np.subtract(frames[1:], frames[:-1], out=space[1, 1:])
-        diffsum[:, cut] = np.add.reduce(np.multiply(d_rows, steps, out=products[:, 1:]), axis=1)
+        steps = products[0, 1:]
+        steps[:] = part[:-1]  # then subtracted in place: faster than one subtract out of place
+        np.subtract(part[1:], steps, out=steps)
+        _times_rows(d_rows, products[:, 1:])
+        diffsum[:, cut] = _record_sums(products[:, 1:])
     if c_rows is not None:
-        mean = mean_f[cut] = frames.mean(axis=0)
-        frames -= mean  # centered before multiplying
-        comoment[:, cut] = np.add.reduce(np.multiply(c_rows, frames, out=products), axis=1)
+        products[0] = part
+        mean = mean_f[cut] = _record_sums(products[0]) / m
+        _times_rows(c_rows, products, mean)
+        comoment[:, cut] = _record_sums(products)
 
 
 def block_sums(rows: np.ndarray, frames: np.ndarray, gi: bool = True, igi: bool = True, each=starmap) -> Sums:
     """The Sums of one block alone: rows (K, B) float64 bucket values of the B frames (B, height, width), any float dtype.
 
-    each(_slab_sums, args) sums pixel slabs of about _SLAB // B, the bytes the same whatever the slabs: starmap in this
-    thread, or measurement._in_order on the pool."""
+    each(_slab_sums, args) sums even pixel slabs of at most _SLAB // B pixels (one at least), the bytes the same
+    whatever the slabs: starmap in this thread, or measurement._in_order on the pool. Each pixel adds its records in
+    ordinal order, in a slab one pixel wide (a one-pixel frame) too."""
     m, flat = len(frames), frames.reshape(len(frames), -1)
     k, p = len(rows), flat.shape[1]
     mean_s = mean_f = comoment = diffsum = 0.0
@@ -121,7 +143,7 @@ def block_sums(rows: np.ndarray, frames: np.ndarray, gi: bool = True, igi: bool 
         if m > 1:
             diffsum, d_rows = np.empty((k, p)), np.diff(rows)[:, :, None]
     if c_rows is not None or d_rows is not None:  # not for a one-record push of IgiAccumulator
-        slabs = -(-p * m // _SLAB)  # even cuts: no slab is one pixel wide, whose sum numpy would take pairwise
+        slabs = -(-p // max(1, _SLAB // m))  # even cuts of at most _SLAB // m pixels, one at least
         cuts = (slice(p * i // slabs, p * (i + 1) // slabs) for i in range(slabs))
         deque(each(_slab_sums, ((flat, cut, d_rows, c_rows, mean_f, comoment, diffsum) for cut in cuts)), maxlen=0)
     return Sums(m, mean_s, mean_f, comoment, diffsum, first, last)

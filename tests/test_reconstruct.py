@@ -1,7 +1,7 @@
 import threading
 import warnings
 from functools import reduce
-from itertools import starmap
+from itertools import product, starmap
 
 import numpy as np
 import pytest
@@ -104,11 +104,14 @@ def test_blocks_are_bounded_in_bytes_above_64x64(tmp_path):
 
 
 def test_streaming_equals_batch():
-    series = synthetic_series(4, count=77)
-    acc = IgiAccumulator(series.width, series.height)
-    for rec in series.records():
-        acc.push(rec)
-    assert_close_rel(acc.finalize(), igi_reconstruct(series), 1e-9)
+    # 77 records are one block of igi_reconstruct, and one-record pushes fold its products one at a time: the same
+    # bytes, on frames of one pixel too
+    for seed, width, height in ((4, 8, 8), (0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 3, 1)):
+        series = synthetic_series(seed, 77, width, height)
+        acc = IgiAccumulator(width, height)
+        for rec in series.records():
+            acc.push(rec)
+        assert acc.finalize().tobytes() == igi_reconstruct(series).tobytes(), (seed, width, height)
 
 
 def test_accumulator_snapshot_semantics():
@@ -224,26 +227,37 @@ def _serial_images(series):
     return [sums.gi(shape), sums.igi(shape), sums.igi(shape, normalization="paper-literal")]
 
 
-@pytest.mark.parametrize("width, height", [(64, 64), (37, 53), (63, 63), (256, 256)])
-def test_block_sums_add_records_in_ordinal_order_whatever_the_slabs(monkeypatch, frame_workers, width, height):
-    # the reference adds one record's products at a time, in ordinal order, over the whole frame; the 40-record block
-    # is cut in slabs of 37, 256 and every pixel
-    series = synthetic_series(3, 40, width, height)
-    frames, rows = series.frames.astype(np.float32), np.stack([series.s, np.sin(np.arange(40.0))])
-    flat = frames.reshape(40, -1).astype(np.float64)
-    centered, dr, df = rows - rows.mean(axis=1)[:, None], np.diff(rows), np.diff(flat, axis=0)
-    mean_f = flat.mean(axis=0)
-    comoment, diffsum = centered[:, :1] * (flat[0] - mean_f), dr[:, :1] * df[0]
-    for b in range(1, 40):
-        comoment += centered[:, b : b + 1] * (flat[b] - mean_f)
-    for b in range(1, 39):
-        diffsum += dr[:, b : b + 1] * df[b]
+@pytest.mark.parametrize("width, height", [(64, 64), (37, 53), (63, 63), (256, 256), (1, 1)])
+def test_block_sums_add_records_in_ordinal_order_whatever_the_slabs(tmp_path, monkeypatch, frame_workers, width, height):
+    # the reference adds one record at a time, in ordinal order, over the whole frame: a one-pixel frame too, whose
+    # records numpy's reduce would sum pairwise. The frames are a loaded .gsim's strided float32 record view, whose
+    # sums of 40 are mostly exact in any order, and a float64 block (at seed 0 a pairwise 1x1 mean differs in its last
+    # bit); the block is cut in slabs of 37, 512 and every pixel, in this thread and on three pool workers
+    series, bufsize = synthetic_series(0, 40, width, height), np.getbufsize()
+    save_series(series, tmp_path / "s.gsim")
     frame_workers(3)
-    for slab, each in ((37 * 40, starmap), (256 * 40, starmap), (width * height * 40, starmap), (256 * 40, measurement._in_order)):
-        monkeypatch.setattr(reconstruct, "_SLAB", slab)
-        sums = block_sums(rows, frames, each=each)
-        assert sums.mean_f.tobytes() == mean_f.tobytes(), slab
-        assert sums.comoment.tobytes() == comoment.tobytes() and sums.diffsum.tobytes() == diffsum.tobytes(), slab
+    for frames, k in product((load_series(tmp_path / "s.gsim").frames, series.frames), (1, 2)):
+        flat, rows = frames.reshape(40, -1).astype(np.float64), np.stack([series.s, np.sin(np.arange(40.0))])[:k]
+        total, centered, dr, df = flat[0].copy(), rows - rows.mean(axis=1)[:, None], np.diff(rows), np.diff(flat, axis=0)
+        for b in range(1, 40):
+            total += flat[b]
+        mean_f = total / 40
+        comoment, diffsum = centered[:, :1] * (flat[0] - mean_f), dr[:, :1] * df[0]
+        for b in range(1, 40):
+            comoment += centered[:, b : b + 1] * (flat[b] - mean_f)
+        for b in range(1, 39):
+            diffsum += dr[:, b : b + 1] * df[b]
+        for gi, igi, slab, each in product((True, False), (True, False), (37, 512, width * height), (starmap, measurement._in_order)):
+            if not (gi or igi):
+                continue
+            monkeypatch.setattr(reconstruct, "_SLAB", slab * 40)
+            monkeypatch.setattr(reconstruct, "_SPACE", threading.local())
+            sums, case = block_sums(rows, frames, gi, igi, each=each), (frames.dtype, k, gi, igi, slab, each.__name__)
+            for got, want in ((sums.mean_f, mean_f), (sums.comoment, comoment)) if gi else ((sums.comoment, 0.0),):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), case
+            assert np.asarray(sums.diffsum).tobytes() == np.asarray(diffsum if igi else 0.0).tobytes(), case
+            if each is starmap:  # this thread summed every slab in its work space: K product slabs of _SLAB at most
+                assert reconstruct._SPACE.array.size <= k * slab * 40 and np.getbufsize() == bufsize, case
 
 
 @pytest.mark.parametrize("case", ["gsim-64x64-600", "f64-37x53-300", "f64-8x8-2", "f64-16x16-512"])
