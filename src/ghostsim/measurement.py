@@ -39,6 +39,7 @@ POSITIONS = ("none", "A", "B", "C")
 
 _GSIM_MAGIC = b"GSIM"
 _GSIM_VERSION = 1
+_GSIM_HEAD = struct.Struct("<4sIIII")  # magic, version, width, height, count
 _BLOCK = 256  # records per block at 64x64 and below: 8 MB of f64 frames
 _ITEM = 65536  # pixels per pool item: 16 frames at 64x64, one from 256x256 up (a thread's FFT scratch: 1 MB up to 256x256)
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
@@ -276,7 +277,7 @@ def _gsim_record(width: int, height: int) -> np.dtype:
 
 
 def write_gsim_header(fh, width: int, height: int, count: int) -> None:
-    fh.write(_GSIM_MAGIC + struct.pack("<IIII", _GSIM_VERSION, width, height, count))
+    fh.write(_GSIM_HEAD.pack(_GSIM_MAGIC, _GSIM_VERSION, width, height, count))
 
 
 def write_gsim_records(fh, s: np.ndarray, frames: np.ndarray) -> None:
@@ -289,7 +290,7 @@ def patch_gsim_buckets(path, s: np.ndarray, width: int, height: int) -> None:
     size = _gsim_record(width, height).itemsize
     with open(path, "r+b") as fh:
         for i, value in enumerate(s):
-            fh.seek(20 + i * size)
+            fh.seek(_GSIM_HEAD.size + i * size)
             fh.write(struct.pack("<d", value))
 
 
@@ -302,20 +303,29 @@ def save_series(series: MeasurementSeries, path) -> None:
             write_gsim_records(fh, series.s[a : a + step], series.frames[a : a + step])
 
 
+def _read_header(fh, head: struct.Struct, magic: bytes, version: int, names: tuple, data_bytes: Callable) -> list:
+    """The fields after magic and version of the header head packs, checked in that order, then against a file size of
+    head.size + data_bytes(*fields), before anything is allocated; names: the file, format and data, for the messages."""
+    what, short, data = names
+    raw = fh.read(head.size)
+    if raw[: len(magic)] != magic:
+        raise PgmFormatError(f"not a {what}: missing {magic.decode()} magic")
+    if len(raw) < head.size:
+        raise PgmFormatError(f"truncated {short} header")
+    found, *fields = head.unpack(raw)[1:]
+    if found != version:
+        raise PgmFormatError(f"unsupported {short} version {found}")
+    size, need = os.fstat(fh.fileno()).st_size, head.size + data_bytes(*fields)
+    if size < need:
+        raise PgmFormatError(f"truncated {data}: {size} of {need} bytes")
+    return fields
+
+
 def load_series(path) -> MeasurementSeries:
     """One np.fromfile read; frames stay float32, as stored. Sizes are checked first: a dtype must fit a C int."""
     with open(path, "rb") as fh:
-        head = fh.read(20)
-        if head[:4] != _GSIM_MAGIC:
-            raise PgmFormatError("not a measurement container: missing GSIM magic")
-        if len(head) < 20:
-            raise PgmFormatError("truncated container header")
-        version, width, height, count = struct.unpack("<IIII", head[4:])
-        if version != _GSIM_VERSION:
-            raise PgmFormatError(f"unsupported container version {version}")
-        size, need = os.fstat(fh.fileno()).st_size, 20 + count * (8 + width * height * 4)
-        if size < need:
-            raise PgmFormatError(f"truncated container: {size} of {need} bytes")
+        names, data_bytes = ("measurement container", "container", "container"), lambda w, h, n: n * (8 + w * h * 4)
+        width, height, count = _read_header(fh, _GSIM_HEAD, _GSIM_MAGIC, _GSIM_VERSION, names, data_bytes)
         if count < 2 or width == 0 or height == 0:
             raise PgmFormatError(f"container holds {count} records of {width}x{height}; a series needs 2, at least 1x1")
         records = np.fromfile(fh, dtype=_gsim_record(width, height), count=count)

@@ -2,21 +2,27 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError
 
 
-def pearson(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation over all pixels; its sums are reductions of elementwise products, not BLAS dot products."""
+def _pixels(a: np.ndarray, b: np.ndarray) -> tuple:
+    """a and b, which must have one shape, as flat float64 vectors."""
     if a.shape != b.shape:
         raise ContractError(f"shape mismatch: {a.shape} vs {b.shape}")
-    x = np.asarray(a, dtype=np.float64).ravel()
-    y = np.asarray(b, dtype=np.float64).ravel()
-    x = x - x.mean()
-    y = y - y.mean()
+    return np.asarray(a, dtype=np.float64).ravel(), np.asarray(b, dtype=np.float64).ravel()
+
+
+def _centered(a: np.ndarray, b: np.ndarray) -> tuple:
+    return tuple(v - v.mean() for v in _pixels(a, b))
+
+
+def pearson(a: np.ndarray, b: np.ndarray) -> float:
+    """Pearson correlation over all pixels; its sums are reductions of elementwise products, not BLAS dot products."""
+    x, y = _centered(a, b)
     vx = float(np.add.reduce(x * x))
     vy = float(np.add.reduce(y * y))
     if vx == 0.0 or vy == 0.0:
@@ -26,13 +32,11 @@ def pearson(a: np.ndarray, b: np.ndarray) -> float:
 
 def cnr(image: np.ndarray, truth: np.ndarray) -> float:
     """Signed contrast-to-noise: (mean on truth>=0.5 minus mean off it) / std off it."""
-    if image.shape != truth.shape:
-        raise ContractError(f"shape mismatch: {image.shape} vs {truth.shape}")
-    obj = np.asarray(truth, dtype=np.float64) >= 0.5
+    vals, truth = _pixels(image, truth)
+    obj = truth >= 0.5
     bg = ~obj
     if not obj.any() or bg.sum() < 2:
         raise ContractError("cnr needs at least one object pixel and two background pixels")
-    vals = np.asarray(image, dtype=np.float64)
     sigma = float(vals[bg].std())  # population std
     if sigma == 0.0:
         raise DegenerateInputError("background is constant; cnr undefined")
@@ -45,12 +49,7 @@ def affine_mse(image: np.ndarray, truth: np.ndarray) -> float:
     Removes the arbitrary scale and offset of a correlation image before
     comparing levels.
     """
-    if image.shape != truth.shape:
-        raise ContractError(f"shape mismatch: {image.shape} vs {truth.shape}")
-    x = np.asarray(image, dtype=np.float64).ravel()
-    y = np.asarray(truth, dtype=np.float64).ravel()
-    x = x - x.mean()
-    y = y - y.mean()
+    x, y = _centered(image, truth)
     sxx = np.add.reduce(x * x)
     slope = np.add.reduce(x * y) / sxx if sxx > 0.0 else 0.0  # closed form; the offset takes the means
     resid = slope * x - y
@@ -64,7 +63,7 @@ class QualityReport:
     mse: float
 
     def to_dict(self) -> dict:
-        return {"cnr": self.cnr, "pearson_r": self.pearson_r, "mse": self.mse}
+        return asdict(self)
 
 
 def quality_report(image: np.ndarray, truth: np.ndarray) -> QualityReport:

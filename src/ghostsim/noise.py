@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
+from .scene import _slits
 from .speckle import ordinal_rng
 
 NOISE_KINDS = ("off", "constant", "sinusoid", "gaussian_white", "poisson")
@@ -120,15 +121,8 @@ class SpatialNoiseMask:
             w = np.zeros((height, width))
             w[:, (width + 1) // 2 :] = 1.0  # columns >= width/2
             return w
-        if self.region == "double_slit_right_half":
-            w = np.zeros((height, width))
-            c0 = (width + 1) // 2
-            half_w = width - c0
-            slit_w = max(1, half_w // 6)
-            for center in (c0 + half_w // 3, c0 + (2 * half_w) // 3):
-                a = center - slit_w // 2
-                w[:, a : a + slit_w] = 1.0
-            return w
+        if self.region == "double_slit_right_half":  # slits a sixth as wide as the right half, columns >= width/2
+            return _slits(width, height, (width + 1) // 2, max(1, (width // 2) // 6))
         # custom
         cw = self.custom_weights
         if cw.shape != (height, width):

@@ -23,7 +23,6 @@ pixel slabs there.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import threading
 from collections import deque
@@ -37,18 +36,19 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, PgmFormatError, memory_guard
 from .measurement import MeasurementRecord, MeasurementSeries, NoiseSpec, Scenario, _injector, block_records, clean_blocks
-from .measurement import _in_order
+from .measurement import _in_order, _read_header
 from .measurement import clean_bucket_series, patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
 
-_SLAB = 131072  # records x pixels per slab of block_sums: 512 pixels of a 256-record block
-# A thread's float64 work space for _slab_sums, the K product slabs of at most _SLAB values each, kept between calls:
+_SLAB = 131072  # K x records x pixels per slab of block_sums: 512 pixels of a 256-record block at K = 1, 256 at K = 2
+# A thread's float64 work space for _slab_sums, the K product slabs of at most _SLAB values in all, kept between calls:
 # fresh temporaries this large come from mmap, and faulting their pages in for every slab made a replay's sums up to
 # twice as slow.
 _SPACE = threading.local()
 _F64_MAGIC = b"GF64"
 _F64_VERSION = 1
+_F64_HEAD = struct.Struct("<4sIII")  # magic, version, width, height
 
 IGI_NORMALIZATIONS = ("unbiased", "paper-literal")
 
@@ -127,7 +127,7 @@ def _slab_sums(flat: np.ndarray, cut: slice, d_rows, c_rows, mean_f, comoment, d
 def block_sums(rows: np.ndarray, frames: np.ndarray, gi: bool = True, igi: bool = True, each=starmap) -> Sums:
     """The Sums of one block alone: rows (K, B) float64 bucket values of the B frames (B, height, width), any float dtype.
 
-    each(_slab_sums, args) sums even pixel slabs of at most _SLAB // B pixels (one at least), the bytes the same
+    each(_slab_sums, args) sums even pixel slabs of at most _SLAB // (K * B) pixels (one at least), the bytes the same
     whatever the slabs: starmap in this thread, or measurement._in_order on the pool. Each pixel adds its records in
     ordinal order, in a slab one pixel wide (a one-pixel frame) too."""
     m, flat = len(frames), frames.reshape(len(frames), -1)
@@ -143,7 +143,7 @@ def block_sums(rows: np.ndarray, frames: np.ndarray, gi: bool = True, igi: bool 
         if m > 1:
             diffsum, d_rows = np.empty((k, p)), np.diff(rows)[:, :, None]
     if c_rows is not None or d_rows is not None:  # not for a one-record push of IgiAccumulator
-        slabs = -(-p // max(1, _SLAB // m))  # even cuts of at most _SLAB // m pixels, one at least
+        slabs = -(-p // max(1, _SLAB // (k * m)))  # even cuts of at most _SLAB // (k * m) pixels, one at least
         cuts = (slice(p * i // slabs, p * (i + 1) // slabs) for i in range(slabs))
         deque(each(_slab_sums, ((flat, cut, d_rows, c_rows, mean_f, comoment, diffsum) for cut in cuts)), maxlen=0)
     return Sums(m, mean_s, mean_f, comoment, diffsum, first, last)
@@ -204,12 +204,13 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
                columns: tuple = (), gsim: Path | None = None, stops: frozenset = frozenset()):
     """Generate a scenario in clean_blocks, in O(N + block * width * height) memory; return finish(row=scenario).
 
-    finish(row, bucket=True) is the BlockRun of the first row.count records (count, or one of stops: a stop inside
-    a block is the running Sums folded with the Sums of the block's prefix), bit for bit a run's. The one resolver
-    of amplitude_rel_std (A = amplitude_rel_std * std(S0), in run.scenario). gsim, in an existing directory, gets
-    the .gsim records as each block finishes. Where splits, S0 and u are correlated side by side as G0 + A*G1 (a
-    row may differ in A too; a run and the rerun of its resolved manifest take the same arithmetic), and a row's S
-    is built (and patched into gsim) only given bucket. Other cases correlate S, whose A clean_bucket_series resolves.
+    finish(row, bucket=True) is the BlockRun of the first row.count records (count, or one of stops: a stop inside a
+    block is the running Sums folded with the Sums of the block's prefix), bit for bit a run's. Once resolved, row
+    differs from scenario in count and a split A alone, else a ContractError, as is a count not in stops. The one
+    resolver of amplitude_rel_std (A = amplitude_rel_std * std(S0), in run.scenario). gsim, in an existing directory,
+    gets the .gsim records as each block finishes. Where splits, S0 and u are correlated side by side as G0 + A*G1 (a
+    row may differ in A too; a run and the rerun of its resolved manifest take the same arithmetic), and a row's S is
+    built (and patched into gsim) only given bucket. Other cases correlate S, whose A clean_bucket_series resolves.
     A block's pixel slabs are summed on the pool, which is idle between blocks (block_sums through _in_order).
     """
     noise, sp, n = scenario.noise, scenario.speckle, scenario.count
@@ -238,11 +239,18 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
             if fh is not None:
                 write_gsim_records(fh, s[a:b], frames)
     stopped[n] = sums
+    if amplitude_rel_std is not None and not split:  # the A that S has (or, without noise, would have): all of S0's
+        scenario = resolve_amplitude(scenario, s0, amplitude_rel_std)
 
     def finish(row: Scenario = scenario, bucket: bool = True) -> BlockRun:
         m, weights, s_row = row.count, [1.0], s[: row.count]
+        if m not in stopped:
+            raise ContractError(f"this pass has no stop at count {m}; it stops at {sorted(stopped)}")
         if amplitude_rel_std is not None:
             row = resolve_amplitude(row, s0[:m], amplitude_rel_std)
+        wf = replace(row.noise.waveform, amplitude=scenario.noise.waveform.amplitude) if split else row.noise.waveform
+        if replace(row, count=n, noise=replace(row.noise, waveform=wf)).digest() != scenario.digest():
+            raise ContractError("a row of this pass differs from its scenario in count and a split amplitude alone")
         if split:
             weights.append(row.noise.waveform.amplitude)
             inject, s_row = _injector(row), None
@@ -328,11 +336,16 @@ def validity_diagnostic(clean_bucket: np.ndarray, waveform: NoiseWaveform, coupl
     return ValidityReport(signal_delta_rms=rms, noise_delta_bound=bound, ratio=ratio, flag=flag)
 
 
-def save_recon_pgm(image: np.ndarray, path) -> None:
-    """16-bit PGM preview; min/max of the affine mapping go to <path>.txt."""
+def _image(image) -> np.ndarray:
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise ContractError("reconstruction image must be 2-D")
+    return img
+
+
+def save_recon_pgm(image: np.ndarray, path) -> None:
+    """16-bit PGM preview; min/max of the affine mapping go to <path>.txt."""
+    img = _image(image)
     lo = float(img.min())
     hi = float(img.max())
     if hi > lo:
@@ -346,28 +359,17 @@ def save_recon_pgm(image: np.ndarray, path) -> None:
 
 def save_f64(image: np.ndarray, path) -> None:
     """Raw float64 dump: GF64 header (magic, version, width, height), LE data."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ContractError("reconstruction image must be 2-D")
+    img = _image(image)
     height, width = img.shape
     with open(path, "wb") as fh:
-        fh.write(_F64_MAGIC + struct.pack("<III", _F64_VERSION, width, height))
+        fh.write(_F64_HEAD.pack(_F64_MAGIC, _F64_VERSION, width, height))
         fh.write(img.astype("<f8").tobytes())
 
 
 def load_f64(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        head = fh.read(16)
-        if head[:4] != _F64_MAGIC:
-            raise PgmFormatError("not a float64 image dump: missing GF64 magic")
-        if len(head) < 16:
-            raise PgmFormatError("truncated GF64 header")
-        version, width, height = struct.unpack("<III", head[4:])
-        if version != _F64_VERSION:
-            raise PgmFormatError(f"unsupported GF64 version {version}")
+        names = ("float64 image dump", "GF64", "GF64 data")
+        width, height = _read_header(fh, _F64_HEAD, _F64_MAGIC, _F64_VERSION, names, lambda w, h: w * h * 8)
         if width == 0 or height == 0:
             raise PgmFormatError(f"GF64 image is {width}x{height}; both must be positive")
-        size, need = os.fstat(fh.fileno()).st_size, 16 + width * height * 8
-        if size < need:
-            raise PgmFormatError(f"truncated GF64 data: {size} of {need} bytes")
         return np.fromfile(fh, dtype="<f8", count=width * height).reshape(height, width)

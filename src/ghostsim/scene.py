@@ -37,14 +37,18 @@ def _th(width: int, height: int) -> np.ndarray:
     return m
 
 
-def _double_slit(width: int, height: int) -> np.ndarray:
-    # exactly two disjoint full-height vertical bands
+def _slits(width: int, height: int, x0: int, slit_w: int) -> np.ndarray:
+    """Zeros but two full-height bands of 1.0, slit_w columns wide, centered a third and two thirds of columns x0.."""
     m = np.zeros((height, width))
-    slit_w = max(1, round(0.06 * width))
-    for center in (width // 3, (2 * width) // 3):
+    for center in (x0 + (width - x0) // 3, x0 + (2 * (width - x0)) // 3):
         a = center - slit_w // 2
         m[:, a : a + slit_w] = 1.0
     return m
+
+
+def _double_slit(width: int, height: int) -> np.ndarray:
+    # exactly two disjoint full-height vertical bands
+    return _slits(width, height, 0, max(1, round(0.06 * width)))
 
 
 def _disk(width: int, height: int) -> np.ndarray:

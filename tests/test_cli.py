@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ghostsim
 from ghostsim import clean_bucket_series, column_curve, load_f64, load_mask, save_mask, save_series, simulate
 from ghostsim import builtin_mask, quality_report, write_curve_csv
 from ghostsim.cli import SWEEP_AXES, evaluate, main
@@ -788,3 +792,20 @@ def test_main_exits_0_2_3_or_4_and_a_failed_run_leaves_nothing(
             axis, values = sweep  # --values=V: a first value of -1 is not an option
             argv = ["sweep", str(tmp / "cfg.json"), "--axis", axis, f"--values={','.join(values)}", "--out", str(out)]
             assert main(argv) in (0, 2, 3, 4)
+
+
+def test_perfbench_trace_mode_installs():
+    # perfbench/spans.py wraps names where ghostsim.cli and ghostsim.measurement look them up, the noqa imports
+    # among them; a fresh interpreter, since installing rebinds module attributes for the rest of the process
+    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    src = Path(ghostsim.__file__).resolve().parent.parent
+    script = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('spans', sys.argv[1])\n"
+        "spans = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(spans)\n"
+        "spans.Tracer().install()\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script, str(spans)], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

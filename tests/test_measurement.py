@@ -377,6 +377,28 @@ def test_block_pass_rows_are_their_runs_bit_for_bit():
                 assert np.array_equal(getattr(shared, name), getattr(alone, name)), (row.count, name)
 
 
+def test_block_pass_serves_only_rows_of_its_pass():
+    # once resolved, a row differs from the pass's scenario in its count (a stop) and a split amplitude alone: any
+    # other row would get the pass's images under its own digest
+    wf = NoiseWaveform(kind="sinusoid", amplitude=40.0, frequency=0.5)
+    scenario = _scenario(position="B", waveform=wf, count=300)
+    finish = reconstruct.block_pass(scenario, stops=frozenset({100}))
+    faster = replace(scenario, noise=replace(scenario.noise, waveform=replace(wf, frequency=5.0)))
+    reseeded = replace(scenario, speckle=replace(_SP, seed=6))
+    for row in (faster, replace(faster, count=100), reseeded, replace(scenario, count=200)):
+        with pytest.raises(ContractError):
+            finish(row)
+    assert finish(replace(scenario, count=100)).scenario.count == 100
+    # without a split, S holds the A resolved from all 300 S0 values: a row of 100 would resolve another
+    constant = _scenario(position="B", waveform=NoiseWaveform(kind="constant"), count=300)
+    relative = reconstruct.block_pass(constant, 2.0, stops=frozenset({100}))
+    with pytest.raises(ContractError):
+        relative(replace(constant, count=100))
+    assert relative(constant).scenario.digest() == relative().scenario.digest()
+    quiet = _scenario(count=300)  # no noise: the pass resolves A at its end, as finish does
+    assert reconstruct.block_pass(quiet, 2.0)(quiet).scenario.noise.waveform.amplitude > 0.0
+
+
 def test_digest_tracks_parameters():
     base = _scenario().digest()
     assert base == _scenario().digest()

@@ -1,3 +1,4 @@
+import struct
 import threading
 import warnings
 from functools import reduce
@@ -232,7 +233,8 @@ def test_block_sums_add_records_in_ordinal_order_whatever_the_slabs(tmp_path, mo
     # the reference adds one record at a time, in ordinal order, over the whole frame: a one-pixel frame too, whose
     # records numpy's reduce would sum pairwise. The frames are a loaded .gsim's strided float32 record view, whose
     # sums of 40 are mostly exact in any order, and a float64 block (at seed 0 a pairwise 1x1 mean differs in its last
-    # bit); the block is cut in slabs of 37, 512 and every pixel, in this thread and on three pool workers
+    # bit); the block is cut in slabs of 37, 512 and every pixel (half as wide at K = 2), in this thread and on three
+    # pool workers
     series, bufsize = synthetic_series(0, 40, width, height), np.getbufsize()
     save_series(series, tmp_path / "s.gsim")
     frame_workers(3)
@@ -256,8 +258,9 @@ def test_block_sums_add_records_in_ordinal_order_whatever_the_slabs(tmp_path, mo
             for got, want in ((sums.mean_f, mean_f), (sums.comoment, comoment)) if gi else ((sums.comoment, 0.0),):
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), case
             assert np.asarray(sums.diffsum).tobytes() == np.asarray(diffsum if igi else 0.0).tobytes(), case
-            if each is starmap:  # this thread summed every slab in its work space: K product slabs of _SLAB at most
-                assert reconstruct._SPACE.array.size <= k * slab * 40 and np.getbufsize() == bufsize, case
+            if each is starmap:  # this thread summed every slab in its work space: _SLAB values at most, whatever K,
+                # but for a slab's floor of one pixel: K x 40 values at 1x1
+                assert reconstruct._SPACE.array.size <= max(slab, k) * 40 and np.getbufsize() == bufsize, case
 
 
 @pytest.mark.parametrize("case", ["gsim-64x64-600", "f64-37x53-300", "f64-8x8-2", "f64-16x16-512"])
@@ -395,6 +398,19 @@ def test_f64_errors(tmp_path):
         load_f64(short)
     with pytest.raises(ContractError):
         save_f64(np.ones(4), path)
+
+
+def test_f64_rejects_oversized_headers_before_allocating(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before checking the header against the file size")
+
+    path = tmp_path / "img.f64"
+    save_f64(np.ones((2, 2)), path)
+    huge = tmp_path / "huge.f64"
+    huge.write_bytes(struct.pack("<4sIII", b"GF64", 1, 65535, 65535) + path.read_bytes()[16:])
+    monkeypatch.setattr(np, "fromfile", refuse)
+    with pytest.raises(PgmFormatError, match="truncated GF64 data"):
+        load_f64(huge)
 
 
 def test_recon_pgm_export(tmp_path):
