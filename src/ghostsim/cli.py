@@ -27,7 +27,7 @@ from .measurement import write_curve_csv
 from .measurement import clean_bucket_series, column_curve, save_series, simulate  # noqa: F401
 from .metrics import pearson, quality_report
 from .presets import PRESET_NAMES, preset_config
-from .reconstruct import BlockRun, ValidityReport, block_pass, run_blocks, save_f64, save_recon_pgm, splits, validity_diagnostic
+from .reconstruct import BlockRun, ValidityReport, block_pass, pass_key, run_blocks, save_f64, save_recon_pgm, validity_diagnostic
 from .reconstruct import gi_reconstruct, igi_reconstruct  # noqa: F401  patched by name, as above
 from .scene import builtin_mask, save_mask
 
@@ -126,25 +126,25 @@ def _row_scenario(cfg: dict, axis: str, value: float) -> tuple:
 def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
     """One CSV row per value of one axis, each scored as a run of its config; all values are checked first.
 
-    One block_pass serves the rows that differ only in N (given no amplitude_rel_std, or a bucket that splits) or
-    in a split amplitude; others take a pass each. A failed pass fails its longest rows; the rest pass again.
+    Each block_pass serves the pending rows of the first pending row's reconstruct.pass_key. A failed pass fails its
+    longest rows; the rest pass again.
     """
     if axis not in SWEEP_AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
     if not values:
         raise ConfigurationError("sweep needs at least one value")
     rows = [_row_scenario(cfg, axis, value) for value in values]
-    (base, rel), normalization = rows[0], cfg["output"]["igi_normalization"]
-    shared = splits(base.noise) and axis != "noise-frequency" or axis == "N" and rel is None
+    keys, normalization = [pass_key(*row) for row in rows], cfg["output"]["igi_normalization"]
     out_dir.mkdir(parents=True, exist_ok=True)
     fields = {}
     while len(fields) < len(rows):
-        pending = [i for i in range(len(rows)) if i not in fields][: None if shared else 1]
-        top, rel = max((rows[i] for i in pending), key=lambda row: row[0].count)
+        first = min(i for i in range(len(rows)) if i not in fields)
+        pending = [i for i in range(first, len(rows)) if i not in fields and keys[i] == keys[first]]
+        top = max(rows[i][0].count for i in pending)
         try:
-            finish = block_pass(top, rel, normalization, stops=frozenset(rows[i][0].count for i in pending))
+            finish = block_pass([rows[i][0] for i in pending], rows[first][1], normalization)
         except GhostsimError as exc:
-            fields.update({i: ["", "", "", f"error: {exc}"] for i in pending if rows[i][0].count == top.count})
+            fields.update({i: ["", "", "", f"error: {exc}"] for i in pending if rows[i][0].count == top})
             continue
         for i in pending:
             try:

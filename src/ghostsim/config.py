@@ -7,7 +7,7 @@ whose domain constructors check every range and name. Every error carries
 <file>:<line> of its JSON path.
 
 Numbers become floats. amplitude_rel_std is the amplitude in units of the clean
-bucket's population std; reconstruct.block_pass resolves it and the manifest records the result.
+bucket's population std; reconstruct.block_pass resolves it from each row's own S0 and the manifest records the result.
 """
 from __future__ import annotations
 

@@ -8,9 +8,9 @@ Injection positions (clean frame F_n, clean bucket S0_n = sum F_n*T):
   C     S_n = S0_n,                          I_n = F_n + Q_n * weights(x)
 
 clean_blocks makes each frame once, in ordinal blocks of about 8 MB, with its
-S0_n; one position switch (_injector) then adds Q_n. block_pass (in
-reconstruct: run_blocks and sweeps) holds one block at a time and alone resolves
-amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
+S0_n; one position switch (_injector) then adds Q_n. reconstruct.block_pass serves
+the rows of one pass_key (a run's one row, or a sweep's) one block at a time, and its finish alone
+resolves amplitude_rel_std; simulate() keeps every frame; simulate_stream() yields one record at a time.
 Off the calling thread, _POOL makes frames and their S0_n (_fill_item) and sums a block pass's pixel slabs and a replay's
 blocks, all through _in_order: in ordinal order, at most 2 * _WORKERS calls ahead, in the caller's numpy error state.
 All are pure functions of the scenario and no sum calls BLAS, so no pool size or BLAS setting moves a byte of a run.
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, PgmFormatError, memory_guard
 from .noise import NoiseWaveform, SpatialNoiseMask, noise_value
-from .scene import bucket_signal, bucket_signals  # noqa: F401  perfbench patches bucket_signal here
+from .scene import bucket_signal, bucket_signals, unit_grid  # noqa: F401  perfbench patches bucket_signal here
 from .speckle import SpeckleParams, fill_frames, generate_frame  # noqa: F401  perfbench patches generate_frame here
 
 POSITIONS = ("none", "A", "B", "C")
@@ -97,12 +97,10 @@ class Scenario:
     noise: NoiseSpec = field(default_factory=NoiseSpec)
 
     def __post_init__(self) -> None:
-        mask = np.asarray(self.object_mask, dtype=np.float64)
+        mask = unit_grid(self.object_mask, "object mask", ConfigurationError, field="object_mask")
         grid = (self.speckle.height, self.speckle.width)
         if mask.shape != grid:
             raise ConfigurationError(f"object mask {mask.shape} does not match speckle grid {grid}", field="object_mask")
-        if mask.min() < 0.0 or mask.max() > 1.0:
-            raise ConfigurationError("object mask values must lie in [0, 1]", field="object_mask")
         weights = getattr(self.noise.spatial, "custom_weights", None)  # set for the custom region only
         if weights is not None and weights.shape != grid:
             message = f"custom_weights {weights.shape} do not match speckle grid {grid}"
@@ -119,14 +117,15 @@ class Scenario:
         """Factor Q_n reaches the bucket with: sum(T)/(w*h) through the object arm (A), else 1."""
         return float(self.object_mask.sum() / self.object_mask.size) if self.noise.position == "A" else 1.0
 
-    def digest(self) -> str:
-        """sha256 over every parameter that affects the record values."""
+    def digest(self, count: bool = True, amplitude: bool = True) -> str:
+        """sha256 over every parameter that affects the record values; reconstruct.pass_key sets count or amplitude aside."""
         h = hashlib.sha256()
         sp = self.speckle
         wf = self.noise.waveform
         h.update(repr((sp.width, sp.height, float(sp.grain_radius), float(sp.mean_intensity), sp.seed)).encode())
-        h.update(repr((self.count, self.noise.position)).encode())
-        h.update(repr((wf.kind, float(wf.amplitude), float(wf.frequency), float(wf.phase), float(wf.sample_rate), wf.seed)).encode())
+        h.update(repr((self.count if count else None, self.noise.position)).encode())
+        a = float(wf.amplitude) if amplitude else None
+        h.update(repr((wf.kind, a, float(wf.frequency), float(wf.phase), float(wf.sample_rate), wf.seed)).encode())
         if self.noise.spatial is not None:
             h.update(self.noise.spatial.region.encode())
             if self.noise.spatial.region == "custom":

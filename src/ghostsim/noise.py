@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ContractError
-from .scene import _slits
+from .scene import _slits, unit_grid
 from .speckle import ordinal_rng
 
 NOISE_KINDS = ("off", "constant", "sinusoid", "gaussian_white", "poisson")
@@ -104,12 +104,7 @@ class SpatialNoiseMask:
         if self.region == "custom":
             if self.custom_weights is None:
                 raise ConfigurationError("custom spatial region requires custom_weights", field="custom_weights")
-            w = np.asarray(self.custom_weights, dtype=np.float64)
-            if w.ndim != 2:
-                raise ConfigurationError("custom_weights must be 2-D", field="custom_weights")
-            if w.min() < 0.0 or w.max() > 1.0:
-                raise ConfigurationError("custom_weights values must lie in [0, 1]", field="custom_weights")
-            self.custom_weights = w
+            self.custom_weights = unit_grid(self.custom_weights, "custom_weights", ConfigurationError, field="custom_weights")
         elif self.custom_weights is not None:
             raise ConfigurationError("custom_weights only apply to the custom region", field="custom_weights")
 

@@ -200,26 +200,37 @@ def splits(noise: NoiseSpec) -> bool:
     return noise.position in ("A", "B") and noise.waveform.kind in ("sinusoid", "gaussian_white")
 
 
-def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, normalization: str = "unbiased",
-               columns: tuple = (), gsim: Path | None = None, stops: frozenset = frozenset()):
-    """Generate a scenario in clean_blocks, in O(N + block * width * height) memory; return finish(row=scenario).
+def pass_key(row: Scenario, amplitude_rel_std: float | None = None) -> str:
+    """The one rule for which rows may share a block_pass: rows of one key. It is row's digest with the count set aside,
+    and the amplitude too where the bucket splits (finish weighs each row's A in) or is relative (finish resolves it).
+    A relative amplitude on a bucket that does not split keeps the count: S needs A during the pass, from all its S0."""
+    split, relative = splits(row.noise), amplitude_rel_std is not None
+    return row.digest(count=relative and not split, amplitude=not (split or relative))
 
-    finish(row, bucket=True) is the BlockRun of the first row.count records (count, or one of stops: a stop inside a
-    block is the running Sums folded with the Sums of the block's prefix), bit for bit a run's. Once resolved, row
-    differs from scenario in count and a split A alone, else a ContractError, as is a count not in stops. The one
-    resolver of amplitude_rel_std (A = amplitude_rel_std * std(S0), in run.scenario). gsim, in an existing directory,
-    gets the .gsim records as each block finishes. Where splits, S0 and u are correlated side by side as G0 + A*G1 (a
-    row may differ in A too; a run and the rerun of its resolved manifest take the same arithmetic), and a row's S is
-    built (and patched into gsim) only given bucket. Other cases correlate S, whose A clean_bucket_series resolves.
+
+def block_pass(rows: list, amplitude_rel_std: float | None = None, normalization: str = "unbiased",
+               columns: tuple = (), gsim: Path | None = None):
+    """Generate the longest of rows in clean_blocks, in O(N + block * width * height) memory, and return finish.
+
+    rows, the Scenarios the pass serves, share one pass_key, else a ContractError before anything is allocated.
+    finish(row, bucket=True) is the BlockRun of the first row.count records of a row of the pass (its key and one of its
+    counts, else a ContractError), bit for bit a run's: a count inside a block is the running Sums folded with the Sums
+    of the block's prefix. finish resolves amplitude_rel_std (A = amplitude_rel_std * std(S0[:count]), in
+    run.scenario). gsim, in an existing directory, gets the .gsim records as each block finishes. Where splits, S0 and
+    u are correlated side by side as G0 + A*G1 (a run and the rerun of its resolved manifest take the same arithmetic),
+    and a row's S is built (and patched into gsim) only given bucket. Other cases correlate S; a relative amplitude on
+    an active bucket first resolves A from a pre-pass of S0 alone (clean_bucket_series).
     A block's pixel slabs are summed on the pool, which is idle between blocks (block_sums through _in_order).
     """
-    noise, sp, n = scenario.noise, scenario.speckle, scenario.count
-    split = splits(noise)
+    keys = {pass_key(row, amplitude_rel_std) for row in rows}
+    if len(keys) != 1:
+        raise ContractError(f"the rows of one block pass share one pass_key; these have {len(keys)}")
+    scenario, counts = max(rows, key=lambda row: row.count), {row.count for row in rows}
+    noise, sp, n, split = scenario.noise, scenario.speckle, scenario.count, splits(scenario.noise)
     with memory_guard(f"count {n}", n * (2 + len(columns)) * 8):
         s0, s, curves = np.empty(n), np.empty(n), np.empty((len(columns), n))
     if amplitude_rel_std is not None and not split and noise.position != "none" and noise.waveform.kind != "off":
-        # S needs A during the pass; the pass makes the same S0, so resolving again at the end keeps this A
-        scenario = resolve_amplitude(scenario, clean_bucket_series(scenario), amplitude_rel_std)
+        scenario = resolve_amplitude(scenario, clean_bucket_series(scenario), amplitude_rel_std)  # the A finish resolves again
     unit = replace(noise, waveform=replace(noise.waveform, amplitude=1.0))
     inject = _injector(replace(scenario, noise=unit) if split else scenario)
     sums, stopped = Sums(0), {}
@@ -230,27 +241,22 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
             b = a + len(frames)
             # split: s holds u, and finish makes each row's S from its amplitude
             s[a:b] = [inject(k, 0.0 if split else s0[k - 1], frame) for k, frame in enumerate(frames, a + 1)]
-            rows = np.stack((s0[a:b], s[a:b])) if split else s[None, a:b]
-            for stop in (stop for stop in stops - {n} if a < stop <= b):
-                stopped[stop] = fold(sums, block_sums(rows[:, : stop - a], frames[: stop - a], each=_in_order))
-            sums = fold(sums, block_sums(rows, frames, each=_in_order))
+            buckets = np.stack((s0[a:b], s[a:b])) if split else s[None, a:b]
+            for stop in (stop for stop in counts - {n} if a < stop <= b):
+                stopped[stop] = fold(sums, block_sums(buckets[:, : stop - a], frames[: stop - a], each=_in_order))
+            sums = fold(sums, block_sums(buckets, frames, each=_in_order))
             for curve, column in zip(curves, columns):
                 curve[a:b] = frames[:, :, column].sum(axis=1, dtype=np.float64)
             if fh is not None:
                 write_gsim_records(fh, s[a:b], frames)
     stopped[n] = sums
-    if amplitude_rel_std is not None and not split:  # the A that S has (or, without noise, would have): all of S0's
-        scenario = resolve_amplitude(scenario, s0, amplitude_rel_std)
 
-    def finish(row: Scenario = scenario, bucket: bool = True) -> BlockRun:
+    def finish(row: Scenario, bucket: bool = True) -> BlockRun:
         m, weights, s_row = row.count, [1.0], s[: row.count]
-        if m not in stopped:
-            raise ContractError(f"this pass has no stop at count {m}; it stops at {sorted(stopped)}")
+        if m not in stopped or pass_key(row, amplitude_rel_std) not in keys:
+            raise ContractError(f"this row is not of the pass: its rows share one pass_key and end at {sorted(stopped)}")
         if amplitude_rel_std is not None:
             row = resolve_amplitude(row, s0[:m], amplitude_rel_std)
-        wf = replace(row.noise.waveform, amplitude=scenario.noise.waveform.amplitude) if split else row.noise.waveform
-        if replace(row, count=n, noise=replace(row.noise, waveform=wf)).digest() != scenario.digest():
-            raise ContractError("a row of this pass differs from its scenario in count and a split amplitude alone")
         if split:
             weights.append(row.noise.waveform.amplitude)
             inject, s_row = _injector(row), None
@@ -266,8 +272,8 @@ def block_pass(scenario: Scenario, amplitude_rel_std: float | None = None, norma
 
 def run_blocks(scenario: Scenario, amplitude_rel_std: float | None = None, normalization: str = "unbiased",
                columns: tuple = (), gsim: Path | None = None) -> BlockRun:
-    """The run of a scenario: block_pass with no other stop, finished."""
-    return block_pass(scenario, amplitude_rel_std, normalization, columns, gsim)()
+    """The run of a scenario: the block pass of it alone, finished."""
+    return block_pass([scenario], amplitude_rel_std, normalization, columns, gsim)(scenario)
 
 
 class IgiAccumulator:

@@ -94,14 +94,17 @@ def load_mask(path) -> np.ndarray:
     return arr.astype(np.float64) / 255.0
 
 
+def unit_grid(values, what: str, error: type = ContractError, **field) -> np.ndarray:
+    """values as a float64 2-D grid in [0, 1], else error(message, **field); a NaN fails, as min and max pass it on."""
+    grid = np.asarray(values, dtype=np.float64)
+    if grid.ndim != 2 or grid.size and not (grid.min() >= 0.0 and grid.max() <= 1.0):
+        raise error(f"{what} must be a 2-D grid of values in [0, 1]", **field)
+    return grid
+
+
 def save_mask(mask: np.ndarray, path) -> None:
     """Write transmittances to an 8-bit binary PGM (round(t*255))."""
-    m = np.asarray(mask, dtype=np.float64)
-    if m.ndim != 2:
-        raise ContractError("mask must be 2-D")
-    if m.min() < 0.0 or m.max() > 1.0:
-        raise ContractError("mask values must lie in [0, 1]")
-    write_pgm(path, np.rint(m * 255.0).astype(np.uint8), 255)
+    write_pgm(path, np.rint(unit_grid(mask, "mask") * 255.0).astype(np.uint8), 255)
 
 
 def bucket_signals(frames: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -7,11 +7,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ghostsim import MeasurementSeries
 
 # hypothesis caches source constants and a unicode table in ./.hypothesis unless pointed elsewhere
 os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", os.path.join(tempfile.gettempdir(), "ghostsim-hypothesis"))
+# a property test that leaves max_examples to the profile draws 60; `pytest --hypothesis-profile slow` draws 200
+settings.register_profile("quick", max_examples=60)
+settings.register_profile("slow", max_examples=200)
+settings.load_profile("quick")
 
 
 def assert_close_rel(actual, expected, rtol, context=""):

@@ -481,6 +481,15 @@ def test_run_and_sweep_generate_each_frame_once(tmp_path, monkeypatch):
     assert main(amplitudes) == 0
     assert sorted(calls) == list(range(1, 41))  # one pass serves the three rows, not 120 frames
     assert noise == list(range(1, 41))
+    calls.clear()
+    # a relative poisson bucket does not split: a pass per count, each after an S0 pre-pass, and equal rows share one
+    cfg = _small_cfg(tmp_path, position="B", kind="poisson", amplitude_rel_std=2.0, seed=4)
+    assert main(["sweep", str(cfg), "--axis", "N", "--values", "20,20,30", "--out", str(tmp_path / "p")]) == 0
+    assert sorted(calls) == sorted([*range(1, 21)] * 2 + [*range(1, 31)] * 2)  # 100 frames, not 140
+    calls.clear()
+    cfg = _small_cfg(tmp_path, position="B", kind="constant", amplitude=1.0)  # no split: a pass per amplitude
+    assert main(["sweep", str(cfg), "--axis", "noise-amplitude", "--values", "0,10,10", "--out", str(tmp_path / "c")]) == 0
+    assert sorted(calls) == sorted([*range(1, 41)] * 2)  # two passes, not three
 
 
 def test_sweep_row_equals_run_metrics(tmp_path):

@@ -8,6 +8,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,7 +44,10 @@ from ghostsim import (
     simulate_stream,
     write_curve_csv,
 )
+from ghostsim.measurement import POSITIONS
+from ghostsim.noise import NOISE_KINDS, SPATIAL_REGIONS
 from ghostsim.pgm import read_pgm, write_pgm
+from ghostsim.reconstruct import IGI_NORMALIZATIONS
 from ghostsim.speckle import fill_frames
 
 _SP = SpeckleParams(width=16, height=16, seed=5)
@@ -361,42 +365,119 @@ def test_relative_amplitude_resolves_from_the_same_pass(monkeypatch):
 
 
 def test_block_pass_rows_are_their_runs_bit_for_bit():
-    # 16x16 blocks hold 256 records: 100 and 513 stop inside a block, 256 on its boundary
+    # 16x16 blocks hold 256 records: 100 and 513 end inside a block, 256 on its boundary
     wf = NoiseWaveform(kind="gaussian_white", amplitude=40.0, seed=3)
     split = _scenario(position="A", waveform=wf, count=700)
     louder = replace(split, noise=replace(split.noise, waveform=replace(wf, amplitude=900.0)))  # a split row
     spatial = SpatialNoiseMask(region="right_half")
     in_frames = _scenario(position="C", waveform=NoiseWaveform(kind="constant", amplitude=5.0), spatial=spatial, count=700)
     for scenario, rel, extra in ((split, 4.0, []), (split, None, [louder]), (in_frames, None, [])):
-        counts = (100, 256, 513, 700)
-        finish = reconstruct.block_pass(scenario, rel, stops=frozenset(counts))
-        for row in [replace(scenario, count=m) for m in counts] + extra:
+        rows = [replace(scenario, count=m) for m in (100, 256, 513, 700)] + extra
+        finish = reconstruct.block_pass(rows, rel)
+        for row in rows:
             shared, alone = finish(row), run_blocks(row, rel)
             assert shared.scenario.digest() == alone.scenario.digest()
             for name in ("s0", "s", "gi", "igi"):
                 assert np.array_equal(getattr(shared, name), getattr(alone, name)), (row.count, name)
 
 
+def _counting_frames():
+    """(made, patch): within patch, the ordinals of every frame made are appended to made, as the pool starts them."""
+    made, real = [], measurement.fill_frames
+
+    def counting(params, first, out):
+        made.extend(range(first, first + len(out)))
+        return real(params, first, out)
+
+    return made, mock.patch.object(measurement, "fill_frames", counting)
+
+
 def test_block_pass_serves_only_rows_of_its_pass():
-    # once resolved, a row differs from the pass's scenario in its count (a stop) and a split amplitude alone: any
-    # other row would get the pass's images under its own digest
+    # rows share a pass only where their pass_key is one: a row that would get the pass's images under its own digest is
+    # refused before the first frame, and finish refuses any row not of its pass
     wf = NoiseWaveform(kind="sinusoid", amplitude=40.0, frequency=0.5)
     scenario = _scenario(position="B", waveform=wf, count=300)
-    finish = reconstruct.block_pass(scenario, stops=frozenset({100}))
     faster = replace(scenario, noise=replace(scenario.noise, waveform=replace(wf, frequency=5.0)))
     reseeded = replace(scenario, speckle=replace(_SP, seed=6))
-    for row in (faster, replace(faster, count=100), reseeded, replace(scenario, count=200)):
+    # without a split, S holds the A resolved from all 300 S0 values: a row of 100 would resolve another
+    constant = _scenario(position="B", waveform=NoiseWaveform(kind="constant"), count=300)
+    made, counting = _counting_frames()
+    with counting:
+        refused = [([scenario, faster], None), ([scenario, reseeded], None), ([constant, replace(constant, count=100)], 2.0)]
+        for rows, rel in refused + [([], None)]:
+            with pytest.raises(ContractError):
+                reconstruct.block_pass(rows, rel)
+        assert made == []
+        finish = reconstruct.block_pass([scenario, replace(scenario, count=100)])
+    for row in (faster, replace(faster, count=100), reseeded, replace(scenario, count=200)):  # 200: a count not given
         with pytest.raises(ContractError):
             finish(row)
     assert finish(replace(scenario, count=100)).scenario.count == 100
-    # without a split, S holds the A resolved from all 300 S0 values: a row of 100 would resolve another
-    constant = _scenario(position="B", waveform=NoiseWaveform(kind="constant"), count=300)
-    relative = reconstruct.block_pass(constant, 2.0, stops=frozenset({100}))
+    relative = reconstruct.block_pass([constant], 2.0)
     with pytest.raises(ContractError):
         relative(replace(constant, count=100))
-    assert relative(constant).scenario.digest() == relative().scenario.digest()
-    quiet = _scenario(count=300)  # no noise: the pass resolves A at its end, as finish does
-    assert reconstruct.block_pass(quiet, 2.0)(quiet).scenario.noise.waveform.amplitude > 0.0
+    run = relative(constant)
+    assert run.scenario.digest() == run_blocks(constant, 2.0).scenario.digest()
+    assert relative(run.scenario).scenario.digest() == run.scenario.digest()  # resolved, a row is of its pass still
+    quiet = _scenario(count=300)  # no noise: finish resolves A all the same
+    assert reconstruct.block_pass([quiet], 2.0)(quiet).scenario.noise.waveform.amplitude > 0.0
+
+
+@st.composite
+def _pass_rows(draw):
+    """The parameters of one block pass: a grid up to 24x24, up to three 256-record blocks and part of one, any noise."""
+    width, height = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    return {
+        "width": width, "height": height, "seed": draw(st.integers(0, 2**64 - 1)),
+        "count": draw(st.integers(2, 3 * 256 + 255)), "counts": draw(st.lists(st.integers(2, 3 * 256 + 255), max_size=3)),
+        "position": draw(st.sampled_from(POSITIONS)), "region": draw(st.sampled_from(SPATIAL_REGIONS)),
+        "kind": draw(st.sampled_from(NOISE_KINDS)), "frequency": draw(st.floats(0.0, 12.5)),
+        "amplitude": draw(st.floats(0.0, 100.0)), "amplitudes": draw(st.lists(st.floats(0.0, 1e4), max_size=2)),
+        "rel": draw(st.none() | st.floats(0.1, 5.0)), "normalization": draw(st.sampled_from(IGI_NORMALIZATIONS)),
+        "columns": tuple(draw(st.lists(st.integers(0, width - 1), max_size=2))),
+    }
+
+
+# draws 60 examples; `pytest --hypothesis-profile slow` (tests/conftest.py) draws more
+@settings(derandomize=True, database=None, deadline=None)
+@given(p=_pass_rows())
+@example(p={"width": 1, "height": 23, "seed": 9, "count": 700, "counts": [100, 256, 513], "position": "A",
+            "region": "full", "kind": "gaussian_white", "frequency": 0.0, "amplitude": 3.0, "amplitudes": [0.0, 40.0],
+            "rel": 2.0, "normalization": "unbiased", "columns": (0,)})
+@example(p={"width": 13, "height": 7, "seed": 4, "count": 513, "counts": [513, 100], "position": "C",
+            "region": "custom", "kind": "poisson", "frequency": 0.0, "amplitude": 3.0, "amplitudes": [],
+            "rel": 0.5, "normalization": "paper-literal", "columns": (12, 3)})
+def test_block_pass_rows_are_their_runs_and_share_its_frames(p):
+    """Every row of a pass is run_blocks of that row, bit for bit; the pass makes each frame once, twice where a
+    relative amplitude meets an active bucket that does not split; a row of another pass is refused before any frame."""
+    sp, rng = SpeckleParams(width=p["width"], height=p["height"], seed=p["seed"]), np.random.default_rng(p["seed"])
+    weights = rng.random((p["height"], p["width"])) if p["region"] == "custom" else None
+    spatial = SpatialNoiseMask(p["region"], weights) if p["position"] == "C" else None
+    wf = NoiseWaveform(p["kind"], p["amplitude"], p["frequency"], seed=p["seed"] % 1000)
+    base = Scenario(sp, rng.random((p["height"], p["width"])), p["count"], NoiseSpec(wf, p["position"], spatial))
+    rel, split = p["rel"], p["position"] in ("A", "B") and p["kind"] in ("sinusoid", "gaussian_white")
+    shares = [m == base.count or rel is None or split for m in p["counts"]]  # S needs A, which needs all of S0
+    rows = [base] + [replace(base, count=m) for m, share in zip(p["counts"], shares) if share]
+    rows += [replace(base, noise=replace(base.noise, waveform=replace(wf, amplitude=a))) for a in p["amplitudes"] if split]
+    foreign = [replace(base, speckle=replace(sp, seed=p["seed"] ^ 1))]
+    foreign += [replace(base, count=m) for m, share in zip(p["counts"], shares) if not share]
+    made, counting = _counting_frames()
+    with counting:
+        for row in foreign:
+            with pytest.raises(ContractError):
+                reconstruct.block_pass(rows + [row], rel, p["normalization"], p["columns"])
+        assert made == []
+        finish = reconstruct.block_pass(rows, rel, p["normalization"], p["columns"])
+    active = p["position"] != "none" and p["kind"] != "off"
+    ordinals = range(1, max(row.count for row in rows) + 1)
+    assert sorted(made) == sorted([*ordinals] * (2 if rel is not None and not split and active else 1))
+    for row in rows:
+        shared, alone = finish(row), run_blocks(row, rel, p["normalization"], p["columns"])
+        assert shared.scenario.digest() == alone.scenario.digest() == finish(shared.scenario, False).scenario.digest()
+        for name in ("s0", "s", "gi", "igi", "curves"):
+            assert np.array_equal(getattr(shared, name), getattr(alone, name)), (row.count, name)
+    with pytest.raises(ContractError):
+        finish(foreign[0])
 
 
 def test_digest_tracks_parameters():
@@ -418,6 +499,9 @@ def test_scenario_validation():
         Scenario(speckle=_SP, object_mask=_MASK, count=1)
     with pytest.raises(ConfigurationError):
         Scenario(speckle=_SP, object_mask=_MASK * 2.0, count=12)
+    with pytest.raises(ConfigurationError) as nan:
+        Scenario(speckle=_SP, object_mask=np.where(_MASK > 0.5, np.nan, 0.0), count=12)
+    assert nan.value.field == "object_mask"
     with pytest.raises(ConfigurationError):
         NoiseSpec(position="D")
     with pytest.raises(ConfigurationError):

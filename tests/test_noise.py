@@ -192,6 +192,9 @@ def test_spatial_validation():
         SpatialNoiseMask(region="custom", custom_weights=np.full((2, 2), 2.0))
     with pytest.raises(ConfigurationError):
         SpatialNoiseMask(region="custom", custom_weights=np.ones(4))
+    with pytest.raises(ConfigurationError, match="custom_weights") as nan:
+        SpatialNoiseMask(region="custom", custom_weights=np.array([[0.5, np.nan]]))
+    assert nan.value.field == "custom_weights"
     with pytest.raises(ConfigurationError):
         SpatialNoiseMask(region="full", custom_weights=np.ones((2, 2)))
 

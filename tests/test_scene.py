@@ -79,6 +79,9 @@ def test_save_mask_rejects_bad_values(tmp_path):
         save_mask(np.full((8, 8), 1.5), tmp_path / "x.pgm")
     with pytest.raises(ContractError):
         save_mask(np.zeros(8), tmp_path / "x.pgm")
+    with pytest.raises(ContractError):  # NaN fails no comparison, so no range check alone refuses it
+        save_mask(np.where(np.eye(8) > 0, np.nan, 0.5), tmp_path / "x.pgm")
+    assert not (tmp_path / "x.pgm").exists()
 
 
 def test_load_mask_rejects_16bit(tmp_path):
