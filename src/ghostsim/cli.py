@@ -148,7 +148,7 @@ def run_sweep(cfg: dict, axis: str, values: list[float], out_dir: Path) -> Path:
             continue
         for i in pending:
             try:
-                validity = _judge(run := finish(rows[i][0], bucket=False))
+                validity = _judge(run := finish(rows[i][0]))
                 scores = [pearson(image, run.scenario.object_mask) for image in (run.gi, run.igi)]
                 fields[i] = [*map(repr, [*scores, validity.ratio]), "ok"]
             except GhostsimError as exc:

@@ -119,9 +119,7 @@ class Scenario:
 
     def digest(self, count: bool = True, amplitude: bool = True) -> str:
         """sha256 over every parameter that affects the record values; reconstruct.pass_key sets count or amplitude aside."""
-        h = hashlib.sha256()
-        sp = self.speckle
-        wf = self.noise.waveform
+        h, sp, wf = hashlib.sha256(), self.speckle, self.noise.waveform
         h.update(repr((sp.width, sp.height, float(sp.grain_radius), float(sp.mean_intensity), sp.seed)).encode())
         h.update(repr((self.count if count else None, self.noise.position)).encode())
         a = float(wf.amplitude) if amplitude else None
@@ -172,9 +170,7 @@ class MeasurementSeries:
 
 def _injector(scenario: Scenario):
     """Bind the position switch: (n, S0_n, frame) -> S_n; position C adds to frame in place."""
-    position = scenario.noise.position
-    waveform = scenario.noise.waveform
-    coupling = scenario.bucket_coupling
+    position, waveform, coupling = scenario.noise.position, scenario.noise.waveform, scenario.bucket_coupling
     if position == "C":
         width, height = scenario.speckle.width, scenario.speckle.height
         with memory_guard(f"a {width}x{height} weight grid", width * height * 8):
@@ -258,16 +254,27 @@ def simulate_stream(scenario: Scenario) -> Iterator[MeasurementRecord]:
 def clean_bucket_series(scenario: Scenario) -> np.ndarray:
     """S0_n alone from clean_blocks, frames not kept; run_blocks returns the same as run.s0."""
     s0 = np.empty(scenario.count)
-    for _ in clean_blocks(scenario, s0):
-        pass
+    deque(clean_blocks(scenario, s0), maxlen=0)
     return s0
 
 
+def check_columns(width: int, columns: tuple) -> None:
+    """Refuse a column outside 0..width - 1: a negative one would index from the right, a larger one fail mid-run."""
+    for column in columns:
+        if not 0 <= column < width:
+            raise ContractError(f"column {column} outside 0..{width - 1}")
+
+
+def column_sums(frames: np.ndarray, columns: tuple) -> np.ndarray:
+    """(len(columns), B): per record of frames (B, height, width), the sum of each column (a slit-plane photocurrent)."""
+    sums = [frames[:, :, column].sum(axis=1, dtype=np.float64) for column in columns]
+    return np.array(sums).reshape(len(columns), len(frames))
+
+
 def column_curve(series: MeasurementSeries, column: int) -> np.ndarray:
-    """Per-record sum of one reference column (a slit-plane photocurrent)."""
-    if not 0 <= column < series.width:
-        raise ContractError(f"column {column} outside 0..{series.width - 1}")
-    return series.frames[:, :, column].sum(axis=1, dtype=np.float64)
+    """Per-record sum of one reference column."""
+    check_columns(series.width, (column,))
+    return column_sums(series.frames, (column,))[0]
 
 
 def _gsim_record(width: int, height: int) -> np.dtype:

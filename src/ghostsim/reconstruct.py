@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, PgmFormatError, memory_guard
 from .measurement import MeasurementRecord, MeasurementSeries, NoiseSpec, Scenario, _injector, block_records, clean_blocks
-from .measurement import _in_order, _read_header
+from .measurement import _in_order, _read_header, check_columns, column_sums
 from .measurement import clean_bucket_series, patch_gsim_buckets, resolve_amplitude, write_gsim_header, write_gsim_records
 from .noise import NoiseWaveform, per_step_noise_delta_bound
 from .pgm import write_pgm
@@ -189,7 +189,7 @@ class BlockRun:
 
     scenario: Scenario   # what was simulated, amplitude resolved
     s0: np.ndarray       # clean bucket S0_n
-    s: np.ndarray | None  # bucket S_n, as simulate() gives it; None from finish(row, bucket=False) where S splits
+    s: np.ndarray        # bucket S_n, as simulate() gives it
     gi: np.ndarray
     igi: np.ndarray
     curves: np.ndarray   # (len(columns), N): per record, the sum of each requested frame column
@@ -200,36 +200,40 @@ def splits(noise: NoiseSpec) -> bool:
     return noise.position in ("A", "B") and noise.waveform.kind in ("sinusoid", "gaussian_white")
 
 
+def needs_amplitude(row: Scenario, amplitude_rel_std: float | None) -> bool:
+    """Whether S needs a relative A during the pass, which then takes S0 first: noise that is on and does not split."""
+    noise, relative = row.noise, amplitude_rel_std is not None
+    return relative and noise.position != "none" and noise.waveform.kind != "off" and not splits(noise)
+
+
 def pass_key(row: Scenario, amplitude_rel_std: float | None = None) -> str:
     """The one rule for which rows may share a block_pass: rows of one key. It is row's digest with the count set aside,
     and the amplitude too where the bucket splits (finish weighs each row's A in) or is relative (finish resolves it).
-    A relative amplitude on a bucket that does not split keeps the count: S needs A during the pass, from all its S0."""
-    split, relative = splits(row.noise), amplitude_rel_std is not None
-    return row.digest(count=relative and not split, amplitude=not (split or relative))
+    Where the pass needs the amplitude (needs_amplitude), the key keeps the count: that A comes from the row's S0."""
+    return row.digest(count=needs_amplitude(row, amplitude_rel_std), amplitude=amplitude_rel_std is None and not splits(row.noise))
 
 
 def block_pass(rows: list, amplitude_rel_std: float | None = None, normalization: str = "unbiased",
                columns: tuple = (), gsim: Path | None = None):
     """Generate the longest of rows in clean_blocks, in O(N + block * width * height) memory, and return finish.
 
-    rows, the Scenarios the pass serves, share one pass_key, else a ContractError before anything is allocated.
-    finish(row, bucket=True) is the BlockRun of the first row.count records of a row of the pass (its key and one of its
-    counts, else a ContractError), bit for bit a run's: a count inside a block is the running Sums folded with the Sums
-    of the block's prefix. finish resolves amplitude_rel_std (A = amplitude_rel_std * std(S0[:count]), in
-    run.scenario). gsim, in an existing directory, gets the .gsim records as each block finishes. Where splits, S0 and
-    u are correlated side by side as G0 + A*G1 (a run and the rerun of its resolved manifest take the same arithmetic),
-    and a row's S is built (and patched into gsim) only given bucket. Other cases correlate S; a relative amplitude on
-    an active bucket first resolves A from a pre-pass of S0 alone (clean_bucket_series).
-    A block's pixel slabs are summed on the pool, which is idle between blocks (block_sums through _in_order).
+    rows share one pass_key and columns lie in the frame, else a ContractError before anything is allocated. Each row's
+    count is a stop: the running Sums folded with the block_sums of the block's prefix, the whole block at its end.
+    finish(row) is the BlockRun of the first row.count records of a row of the pass (its key and one of its counts, else
+    a ContractError), bit for bit a run's, amplitude_rel_std resolved from std(S0[:count]) into run.scenario. gsim, in an
+    existing directory, gets the .gsim records as each block finishes. Where splits, S0 and u are correlated side by
+    side, and finish weighs them as G0 + A*G1 (as the rerun of a resolved manifest does) and builds S, into gsim too.
+    Otherwise S is correlated, after a pre-pass of S0 alone where needs_amplitude. The pool sums slabs (_in_order).
     """
     keys = {pass_key(row, amplitude_rel_std) for row in rows}
     if len(keys) != 1:
         raise ContractError(f"the rows of one block pass share one pass_key; these have {len(keys)}")
     scenario, counts = max(rows, key=lambda row: row.count), {row.count for row in rows}
     noise, sp, n, split = scenario.noise, scenario.speckle, scenario.count, splits(scenario.noise)
+    check_columns(sp.width, columns)
     with memory_guard(f"count {n}", n * (2 + len(columns)) * 8):
         s0, s, curves = np.empty(n), np.empty(n), np.empty((len(columns), n))
-    if amplitude_rel_std is not None and not split and noise.position != "none" and noise.waveform.kind != "off":
+    if needs_amplitude(scenario, amplitude_rel_std):
         scenario = resolve_amplitude(scenario, clean_bucket_series(scenario), amplitude_rel_std)  # the A finish resolves again
     unit = replace(noise, waveform=replace(noise.waveform, amplitude=1.0))
     inject = _injector(replace(scenario, noise=unit) if split else scenario)
@@ -242,25 +246,21 @@ def block_pass(rows: list, amplitude_rel_std: float | None = None, normalization
             # split: s holds u, and finish makes each row's S from its amplitude
             s[a:b] = [inject(k, 0.0 if split else s0[k - 1], frame) for k, frame in enumerate(frames, a + 1)]
             buckets = np.stack((s0[a:b], s[a:b])) if split else s[None, a:b]
-            for stop in (stop for stop in counts - {n} if a < stop <= b):
-                stopped[stop] = fold(sums, block_sums(buckets[:, : stop - a], frames[: stop - a], each=_in_order))
-            sums = fold(sums, block_sums(buckets, frames, each=_in_order))
-            for curve, column in zip(curves, columns):
-                curve[a:b] = frames[:, :, column].sum(axis=1, dtype=np.float64)
+            # one block_sums per stop in the block and one for its end, which is the running Sums and may be a stop too
+            for m in {stop - a for stop in counts if a < stop < b} | {b - a}:
+                stopped[a + m] = fold(sums, block_sums(buckets[:, :m], frames[:m], each=_in_order))
+            sums, curves[:, a:b] = stopped[b] if b in counts else stopped.pop(b), column_sums(frames, columns)
             if fh is not None:
                 write_gsim_records(fh, s[a:b], frames)
-    stopped[n] = sums
 
-    def finish(row: Scenario, bucket: bool = True) -> BlockRun:
+    def finish(row: Scenario) -> BlockRun:
         m, weights, s_row = row.count, [1.0], s[: row.count]
         if m not in stopped or pass_key(row, amplitude_rel_std) not in keys:
             raise ContractError(f"this row is not of the pass: its rows share one pass_key and end at {sorted(stopped)}")
         if amplitude_rel_std is not None:
             row = resolve_amplitude(row, s0[:m], amplitude_rel_std)
         if split:
-            weights.append(row.noise.waveform.amplitude)
-            inject, s_row = _injector(row), None
-        if split and bucket:
+            inject, weights = _injector(row), [1.0, row.noise.waveform.amplitude]
             s_row = np.array([inject(k, s0[k - 1], None) for k in range(1, m + 1)], dtype=np.float64)
             if gsim is not None:
                 patch_gsim_buckets(gsim, s_row, sp.width, sp.height)

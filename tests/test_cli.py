@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -474,13 +475,14 @@ def test_run_and_sweep_generate_each_frame_once(tmp_path, monkeypatch):
     noise.clear()
     assert main(["sweep", str(cfg), "--axis", "N", "--values", "10,20", "--out", str(tmp_path / "s")]) == 0
     assert sorted(calls) == list(range(1, 21))  # one pass to the longest row
-    assert noise == list(range(1, 21))  # the pass's unit waveform: a sweep row's S is never built
+    # the pass's unit waveform, then each row's S as finish builds it: a sweep row is served as a run is
+    assert noise == [*range(1, 21), *range(1, 11), *range(1, 21)]
     calls.clear()
     noise.clear()
     amplitudes = ["sweep", str(cfg), "--axis", "noise-amplitude", "--values", "0,10,100", "--out", str(tmp_path / "a")]
     assert main(amplitudes) == 0
     assert sorted(calls) == list(range(1, 41))  # one pass serves the three rows, not 120 frames
-    assert noise == list(range(1, 41))
+    assert noise == [*range(1, 41)] * 4
     calls.clear()
     # a relative poisson bucket does not split: a pass per count, each after an S0 pre-pass, and equal rows share one
     cfg = _small_cfg(tmp_path, position="B", kind="poisson", amplitude_rel_std=2.0, seed=4)
@@ -490,6 +492,27 @@ def test_run_and_sweep_generate_each_frame_once(tmp_path, monkeypatch):
     cfg = _small_cfg(tmp_path, position="B", kind="constant", amplitude=1.0)  # no split: a pass per amplitude
     assert main(["sweep", str(cfg), "--axis", "noise-amplitude", "--values", "0,10,10", "--out", str(tmp_path / "c")]) == 0
     assert sorted(calls) == sorted([*range(1, 41)] * 2)  # two passes, not three
+    calls.clear()
+    # no noise reaches S at position none, so a relative amplitude is each row's own, from its S0: one pass serves all
+    cfg = _small_cfg(tmp_path, position="none", kind="sinusoid", amplitude_rel_std=2.0, frequency=5.0)
+    assert main(["sweep", str(cfg), "--axis", "N", "--values", "100,256,513,700", "--out", str(tmp_path / "n")]) == 0
+    assert sorted(calls) == list(range(1, 701))  # 700 frames, not 1569
+
+
+@pytest.mark.parametrize("case", ["B-rel", "C-abs"])
+def test_a_sweep_sums_each_block_once_where_its_rows_end_on_block_ends(tmp_path, monkeypatch, case):
+    import ghostsim.reconstruct as reconstruct
+
+    blocks, real = [], reconstruct.block_sums
+
+    def counting(rows, frames, **kw):
+        blocks.append(len(frames))
+        return real(rows, frames, **kw)
+
+    monkeypatch.setattr(reconstruct, "block_sums", counting)
+    cfg = _small_cfg(tmp_path, **_ENGINE_CASES[case])  # 16x16 blocks hold 256 records: rows of 256 and 512 end on block ends
+    assert main(["sweep", str(cfg), "--axis", "N", "--values", "256,512,700", "--out", str(tmp_path / "s")]) == 0
+    assert blocks == [256, 256, 188]  # one block_sums per block, a row's stop on its block's end included
 
 
 def test_sweep_row_equals_run_metrics(tmp_path):
@@ -647,6 +670,44 @@ def _fail_at_frame_300(monkeypatch, error) -> None:
         return real(params, first, out)
 
     monkeypatch.setattr(measurement, "fill_frames", failing)
+
+
+def test_no_pool_thread_calls_in_order(tmp_path, monkeypatch, frame_workers):
+    # a pool call that waits on work queued behind it deadlocks once every worker does the same
+    import ghostsim.measurement as measurement
+    import ghostsim.reconstruct as reconstruct
+
+    frame_workers(3)
+    callers, real = [], measurement._in_order
+
+    def guarded(fn, args):
+        if threading.current_thread() in measurement._POOL._threads:
+            raise AssertionError(f"_in_order({fn.__name__}) called from a pool thread")
+        callers.append(fn.__name__)
+        return real(fn, args)
+
+    monkeypatch.setattr(measurement, "_in_order", guarded)
+    monkeypatch.setattr(reconstruct, "_in_order", guarded)
+    run_cfg = json.loads(_small_cfg(tmp_path, **_ENGINE_CASES["C-rel"]).read_text())  # an S0 pre-pass, then the pass
+    run_cfg.update(count=700, output={"emit_frames": True, "emit_curves": True})
+    (tmp_path / "run.json").write_text(json.dumps(run_cfg))
+    assert main(["run", str(tmp_path / "run.json"), "--out", str(tmp_path / "run")]) == 0
+    assert set(callers) == {"_fill_item", "_slab_sums"}
+    callers.clear()
+    cfg = _small_cfg(tmp_path, **_ENGINE_CASES["B-rel"])
+    assert main(["sweep", str(cfg), "--axis", "N", "--values", "100,256,700", "--out", str(tmp_path / "s")]) == 0
+    assert set(callers) == {"_fill_item", "_slab_sums"}
+    callers.clear()
+    series = ghostsim.load_series(tmp_path / "run" / "series.gsim")
+    ghostsim.gi_reconstruct(series)
+    ghostsim.igi_reconstruct(series)
+    assert callers == ["block_sums", "block_sums"]
+    callers.clear()
+    acc = ghostsim.IgiAccumulator(16, 16)
+    for record in ghostsim.simulate_stream(build_scenario(parse_config_text(json.dumps(run_cfg)))[0]):
+        acc.push(record)
+    acc.finalize()
+    assert callers == ["_fill_item"]
 
 
 @pytest.mark.parametrize("error, code", [(ContractError, 3), (OSError, 4)])

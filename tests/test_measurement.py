@@ -419,8 +419,26 @@ def test_block_pass_serves_only_rows_of_its_pass():
     run = relative(constant)
     assert run.scenario.digest() == run_blocks(constant, 2.0).scenario.digest()
     assert relative(run.scenario).scenario.digest() == run.scenario.digest()  # resolved, a row is of its pass still
-    quiet = _scenario(count=300)  # no noise: finish resolves A all the same
+    quiet = _scenario(count=300)  # no noise: finish resolves A all the same, and rows of any count share the pass
     assert reconstruct.block_pass([quiet], 2.0)(quiet).scenario.noise.waveform.amplitude > 0.0
+    off = _scenario(position="C", waveform=NoiseWaveform(kind="off"), spatial=SpatialNoiseMask(region="full"), count=300)
+    for row in (quiet, off):
+        shorter = replace(row, count=100)
+        shared = reconstruct.block_pass([row, shorter], 2.0)(shorter)
+        assert shared.scenario.digest() == run_blocks(shorter, 2.0).scenario.digest()
+
+
+def test_block_pass_checks_its_columns_before_any_frame():
+    made, counting = _counting_frames()
+    scenario = _scenario(count=300)
+    with counting:
+        for columns in ((16,), (-1,), (0, 16)):
+            with pytest.raises(ContractError, match="outside 0..15"):
+                run_blocks(scenario, columns=columns)
+    assert made == []
+    series = simulate(scenario)
+    run = run_blocks(scenario, columns=(0, 15))
+    assert np.array_equal(run.curves, [column_curve(series, 0), column_curve(series, 15)])
 
 
 @st.composite
@@ -456,7 +474,8 @@ def test_block_pass_rows_are_their_runs_and_share_its_frames(p):
     wf = NoiseWaveform(p["kind"], p["amplitude"], p["frequency"], seed=p["seed"] % 1000)
     base = Scenario(sp, rng.random((p["height"], p["width"])), p["count"], NoiseSpec(wf, p["position"], spatial))
     rel, split = p["rel"], p["position"] in ("A", "B") and p["kind"] in ("sinusoid", "gaussian_white")
-    shares = [m == base.count or rel is None or split for m in p["counts"]]  # S needs A, which needs all of S0
+    active = p["position"] != "none" and p["kind"] != "off"
+    shares = [m == base.count or rel is None or split or not active for m in p["counts"]]  # S needs A, from all of S0
     rows = [base] + [replace(base, count=m) for m, share in zip(p["counts"], shares) if share]
     rows += [replace(base, noise=replace(base.noise, waveform=replace(wf, amplitude=a))) for a in p["amplitudes"] if split]
     foreign = [replace(base, speckle=replace(sp, seed=p["seed"] ^ 1))]
@@ -468,12 +487,11 @@ def test_block_pass_rows_are_their_runs_and_share_its_frames(p):
                 reconstruct.block_pass(rows + [row], rel, p["normalization"], p["columns"])
         assert made == []
         finish = reconstruct.block_pass(rows, rel, p["normalization"], p["columns"])
-    active = p["position"] != "none" and p["kind"] != "off"
     ordinals = range(1, max(row.count for row in rows) + 1)
     assert sorted(made) == sorted([*ordinals] * (2 if rel is not None and not split and active else 1))
     for row in rows:
         shared, alone = finish(row), run_blocks(row, rel, p["normalization"], p["columns"])
-        assert shared.scenario.digest() == alone.scenario.digest() == finish(shared.scenario, False).scenario.digest()
+        assert shared.scenario.digest() == alone.scenario.digest() == finish(shared.scenario).scenario.digest()
         for name in ("s0", "s", "gi", "igi", "curves"):
             assert np.array_equal(getattr(shared, name), getattr(alone, name)), (row.count, name)
     with pytest.raises(ContractError):
